@@ -1,0 +1,14 @@
+"""Make the benchmark's modules and the program importable.
+
+Run with ``python -m pytest benchmarks/e2e/tests`` from the repository
+root; these tests are not part of the tier-1 suite.
+"""
+
+import os
+import sys
+
+E2E = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(os.path.dirname(E2E))
+for path in (os.path.join(ROOT, "src"), E2E):
+    if path not in sys.path:
+        sys.path.insert(0, path)
