@@ -16,10 +16,11 @@ Usage::
     python -m repro.lint src/ tests/
     python -m repro.lint --format json --baseline lint-baseline.json src/
 
-Rules carry stable identifiers (``LB101`` .. ``LB105``); individual
-lines opt out with a ``# lb: noqa[LB101]`` trailing comment, and
-accepted pre-existing findings live in a tracked baseline file with a
-justification per entry (see :mod:`repro.analysis.baseline`).
+Rules carry stable identifiers (``LB101`` .. ``LB107`` per file,
+``LB201`` .. ``LB204`` whole-program); individual lines opt out with a
+``# lb: noqa[LB101]`` trailing comment, and accepted pre-existing
+findings live in a tracked baseline file with a justification per entry
+(see :mod:`repro.analysis.baseline`).
 """
 
 from repro.analysis.core import (

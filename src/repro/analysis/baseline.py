@@ -11,7 +11,7 @@ Format (JSON, tracked in git)::
       "version": 1,
       "entries": [
         {
-          "rule": "LB105",
+          "rule": "LB203",
           "path": "src/repro/experiments/hardware.py",
           "code": "def run_hardware_scaling(...)",
           "justification": "analytic gate-cost model, no randomness"

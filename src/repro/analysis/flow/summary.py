@@ -21,7 +21,7 @@ approximate in documented ways:
 import ast
 
 #: Bump when the summary shape changes — invalidates the lint cache.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Receiver method calls treated as *writes* to the receiver attribute
 #: (mutating a container through an attribute is a write to shared
@@ -107,16 +107,20 @@ class _FuncExtractor:
             params.append(args.kwarg.arg)
         # Callable defaults (``task_runner=run_task_spec``) are indirect
         # call edges when the parameter is later invoked.
+        # ``None`` defaults are recorded for the seed rule (LB203).
         callable_defaults = {}
+        none_defaults = []
         positional = args.posonlyargs + args.args
         offset = len(positional) - len(args.defaults)
-        for arg, default in zip(positional[offset:], args.defaults):
-            path = dotted_path(default)
-            if path is not None and "." not in path:
-                callable_defaults[arg.arg] = path
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is None:
-                continue
+        defaults = list(zip(positional[offset:], args.defaults))
+        defaults += [
+            (arg, default)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        for arg, default in defaults:
+            if isinstance(default, ast.Constant) and default.value is None:
+                none_defaults.append(arg.arg)
             path = dotted_path(default)
             if path is not None and "." not in path:
                 callable_defaults[arg.arg] = path
@@ -129,6 +133,7 @@ class _FuncExtractor:
             "code": source.code_at(node.lineno),
             "params": params,
             "callable_defaults": callable_defaults,
+            "none_defaults": none_defaults,
             "accesses": [],       # [base, attr, kind, line, code, locks]
             "global_ops": [],     # [name, kind, line, code, locks]
             "calls": [],          # {t, args, kwargs, line, locks}

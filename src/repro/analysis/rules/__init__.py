@@ -5,7 +5,6 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     lb102_snapshot,
     lb103_wakeup,
     lb104_caches,
-    lb105_seeds,
     lb106_durability,
     lb107_swallow,
     lb201_races,

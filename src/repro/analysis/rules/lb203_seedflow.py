@@ -1,24 +1,34 @@
-"""LB203: interprocedural seed threading.
+"""LB203: seed threading, from entry-point signatures across the call graph.
 
-LB105 (PR 5) checks *signatures*: experiment entry points must accept a
-seed parameter and mention it somewhere in the body.  That is easy to
-satisfy vacuously — pass the seed to a helper that drops it on the
-floor and LB105 is happy while every run still self-seeds from the OS.
+Every published number in this repository is a function of
+``(experiment, config, seed)`` — that triple is literally the result
+cache's key.  Two checks enforce it:
 
-LB203 follows the value: every seed-carrying parameter of every
-function in the ``repro`` package must *reach a sink* — an RNG or
-derived-seed constructor, a ``self.*`` store (deliberate threading for
-later use), a return value (the caller inherits the obligation), or an
-arithmetic use (seed derivation).  Forwarding to another in-project
-function discharges the obligation only if that function's matching
-parameter reaches a sink itself, computed recursively over the resolved
-call graph; forwarding to code outside the index is trusted (no view
-inside, so no claim — a documented false-negative source, never a
-false positive).
+* **Entry points.**  Every module-level ``run_*`` function in
+  ``repro.experiments`` must take a seed-carrying parameter
+  (:data:`SEED_PARAMS`), and that parameter must not default to
+  ``None`` — a ``None`` seed means "let the RNG self-seed from the OS",
+  exactly the ambient randomness the whole stack is built to avoid.
+  Deterministic entry points (analytic hardware-cost models, scripted
+  worked examples) opt out with ``# lb: noqa[LB203]`` and a comment
+  saying why no randomness is involved.
+* **Flow.**  A signature is easy to satisfy vacuously — pass the seed
+  to a helper that drops it on the floor and every run still self-seeds
+  from the OS.  So every seed-carrying parameter of every function in
+  the ``repro`` package must *reach a sink* — an RNG or derived-seed
+  constructor, a ``self.*`` store (deliberate threading for later use),
+  a return value (the caller inherits the obligation), or an arithmetic
+  use (seed derivation).  Forwarding to another in-project function
+  discharges the obligation only if that function's matching parameter
+  reaches a sink itself, computed recursively over the resolved call
+  graph; forwarding to code outside the index is trusted (no view
+  inside, so no claim — a documented false-negative source, never a
+  false positive).
 """
 
 from repro.analysis.core import Finding, Rule, register
-from repro.analysis.rules.lb105_seeds import SEED_PARAMS
+
+SEED_PARAMS = ("seed", "seeds", "base_seed", "root_seed", "lfsr_seed")
 
 #: Call-target suffixes that consume a seed by construction.
 SINK_SUFFIXES = frozenset((
@@ -34,8 +44,8 @@ class SeedFlowRule(Rule):
     id = "LB203"
     name = "seed-flow"
     description = (
-        "seed parameter never reaches an RNG or derived-seed sink "
-        "(accepted but discarded)"
+        "experiment entry point without a fixed seed parameter, or a "
+        "seed parameter that never reaches an RNG or derived-seed sink"
     )
     project = True
 
@@ -46,6 +56,9 @@ class SeedFlowRule(Rule):
             if not _in_repro(func.module):
                 continue
             summary = func.summary
+            if _is_entry_point(func):
+                for finding in self._check_signature(project, func):
+                    yield finding
             if _is_abstract(summary):
                 continue
             for param in summary["params"]:
@@ -61,6 +74,29 @@ class SeedFlowRule(Rule):
                     "derived-seed constructor, store or return — the "
                     "caller's seed is silently discarded and the run "
                     "self-seeds".format(param, key.split(":", 1)[1]),
+                    summary["code"],
+                )
+
+    def _check_signature(self, project, func):
+        summary = func.summary
+        path = project._func_path(func)
+        seed_params = [p for p in summary["params"] if p in SEED_PARAMS]
+        if not seed_params:
+            yield Finding(
+                self.id, path, summary["line"], 0,
+                "experiment entry point {}() takes no seed parameter "
+                "({}) — results cannot be keyed or replicated; "
+                "deterministic entry points should say so with a "
+                "noqa".format(summary["name"], "/".join(SEED_PARAMS[:2])),
+                summary["code"],
+            )
+        for param in seed_params:
+            if param in summary["none_defaults"]:
+                yield Finding(
+                    self.id, path, summary["line"], 0,
+                    "{}() defaults {}=None — a None seed falls back to "
+                    "ambient OS randomness; default to a fixed "
+                    "integer".format(summary["name"], param),
                     summary["code"],
                 )
 
@@ -155,6 +191,18 @@ class SeedFlowRule(Rule):
 
 def _in_repro(module):
     return module == "repro" or module.startswith("repro.")
+
+
+def _is_entry_point(func):
+    """A module-level ``run_*`` function of ``repro.experiments``."""
+    summary = func.summary
+    return (
+        (func.module == "repro.experiments"
+         or func.module.startswith("repro.experiments."))
+        and summary["cls"] is None
+        and summary["parent"] is None
+        and summary["name"].startswith("run_")
+    )
 
 
 def _is_abstract(summary):

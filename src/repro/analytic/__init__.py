@@ -13,8 +13,7 @@ Entry points:
   latency distribution (mean + percentiles) for one
   (arbiter, traffic class, weights) configuration.
 * :func:`score_grid` — the vectorized batch path: a list of
-  configuration points predicted at a few microseconds each (degrades
-  to looping :func:`predict` without numpy).
+  configuration points predicted at a few microseconds each.
 * :data:`ERROR_BOUNDS` / :func:`bound_for` — the checked-in, regression-
   tested surrogate<->simulator error bounds.
 * :func:`validate_surrogate` — cross-validation driver producing the

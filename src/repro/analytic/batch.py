@@ -11,9 +11,8 @@ per-config speedup over the vector simulator real: the scalar
 ``predict`` costs a few hundred microseconds of interpreter time per
 configuration, the batched path a few microseconds.
 
-numpy is the same optional extra the vector simulator uses; without it
-``score_grid`` degrades to looping ``predict`` (identical numbers,
-scalar speed).  The agreement between the two paths is pinned by
+numpy is imported lazily, on the first call.  The agreement between
+the batch path and ``predict`` is pinned by
 ``tests/test_analytic_model.py``.
 """
 
@@ -31,7 +30,6 @@ from repro.analytic.model import (
     predict,
 )
 from repro.core.scaling import scale_to_power_of_two
-from repro.vector._compat import have_numpy, get_numpy
 
 _EPS = 1e-9
 _WAIT_CAP = 1e12
@@ -505,22 +503,11 @@ def score_grid(points, max_burst=16, horizon=None, percentiles=False):
         percentile assembly is a measurable fraction of batch cost).
     :returns: a list of :class:`AnalyticResult`, one per point, in
         input order.  Numbers match the scalar ``predict`` to floating
-        -point noise; without numpy this *is* a ``predict`` loop.
+        -point noise.
     """
+    import numpy as np
+
     points = list(points)
-    if not have_numpy():
-        return [
-            predict(
-                point["arbiter_name"],
-                point["traffic_class_name"],
-                weights=point["weights"],
-                max_burst=max_burst,
-                horizon=horizon,
-                **(point.get("arbiter_kwargs") or {})
-            )
-            for point in points
-        ]
-    np = get_numpy()
 
     groups = {}
     for index, point in enumerate(points):

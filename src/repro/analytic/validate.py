@@ -106,7 +106,7 @@ def _row_errors(predicted, simulated_row, num_masters=4):
 
 
 def validate_surrogate(arbiters=None, traffic_classes=None, weights=None,
-                       cycles=None, warmup=None, seed=1, backend="auto",
+                       cycles=None, warmup=None, seed=1, backend="vector",
                        jobs=None):
     """Cross-validate predict() against one simulated sweep.
 
@@ -206,7 +206,7 @@ def main(argv=None):
         help="simulated cycles per point (default: calibration setting)",
     )
     parser.add_argument(
-        "--backend", choices=("scalar", "vector", "auto"), default="auto",
+        "--backend", choices=("scalar", "vector"), default="vector",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,

@@ -503,12 +503,7 @@ def _batch_lane_builder(arb_name, kwargs):
 
 
 def run_batch_benchmark(quick=False, repeats=3, block_size=32):
-    """Scalar-dense vs vectorized batch run; returns the results doc.
-
-    Raises :class:`repro.vector.VectorUnavailableError` when numpy is
-    not installed — the batch benchmark has no scalar fallback to
-    measure against itself.
-    """
+    """Scalar-dense vs vectorized batch run; returns the results doc."""
     from repro.core.lookup_table import (
         lookup_table_cache_stats,
         reset_lookup_table_cache,
@@ -639,12 +634,7 @@ _ANALYTIC_SPEEDUP_TARGET = 1000.0
 
 
 def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
-    """Surrogate accuracy + throughput vs the vector engine.
-
-    Raises :class:`repro.vector.VectorUnavailableError` when numpy is
-    not installed — the speed leg's baseline is the vectorized batch
-    engine.
-    """
+    """Surrogate accuracy + throughput vs the vector engine."""
     from repro.analytic import (
         CALIBRATION,
         score_grid,
@@ -661,7 +651,7 @@ def run_analytic_benchmark(quick=False, repeats=3, jobs=None):
     if quick:
         families = ["lottery-static", "static-priority", "tdma"]
     validation = validate_surrogate(
-        arbiters=families, backend="auto", jobs=jobs
+        arbiters=families, backend="vector", jobs=jobs
     )
 
     # Surrogate timing: the full supported grid, replicated so the
@@ -1266,7 +1256,7 @@ def main(argv=None):
         action="store_true",
         help="benchmark the vectorized batch engine (repro.vector) "
         "against per-lane dense scalar runs on the saturated Table 1 "
-        "sweep; requires numpy (pip install .[vector])",
+        "sweep",
     )
     parser.add_argument(
         "--batch-output",

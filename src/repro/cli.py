@@ -67,12 +67,11 @@ def build_parser():
     )
     parser.add_argument(
         "--backend",
-        choices=("scalar", "vector", "auto"),
+        choices=("scalar", "vector"),
         default=None,
         help=(
-            "sweep only: execution engine — scalar simulator, the "
-            "vectorized batch engine (requires numpy, pip install "
-            ".[vector]), or auto-detect; rows are bit-identical either "
+            "sweep only: execution engine — scalar simulator or the "
+            "vectorized batch engine; rows are bit-identical either "
             "way (default scalar)"
         ),
     )

@@ -69,7 +69,9 @@ class LFSR(Snapshottable):
     """A Fibonacci LFSR of the given bit width.
 
     :param width: register width in bits (2..32 for maximal taps).
-    :param seed: initial state; any nonzero value modulo ``2**width``.
+    :param seed: initial state; any nonzero integer.  It is taken
+        modulo ``2**width``; a multiple of ``2**width`` is folded to
+        ``seed % (2**width - 1)`` (or ``2**width - 1``) instead.
     :param taps: optional explicit tap positions (1-indexed); defaults to
         a maximal-length set.
     :param steps_per_draw: register clocks per sampled word (default:
@@ -95,9 +97,14 @@ class LFSR(Snapshottable):
         self.width = width
         self.taps = tuple(taps)
         self._mask = (1 << width) - 1
-        seed &= self._mask
         if seed == 0:
             raise ValueError("LFSR seed must be nonzero")
+        if seed & self._mask:
+            seed &= self._mask
+        else:
+            # A nonzero seed with no low bits (a multiple of 2**width):
+            # fold its high bits in rather than reject it.
+            seed = (seed % self._mask) or self._mask
         if steps_per_draw is None:
             steps_per_draw = width
         if steps_per_draw < 1:

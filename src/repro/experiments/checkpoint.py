@@ -38,8 +38,8 @@ DEFAULT_CHECKPOINT_EVERY = 50_000
 def task_checkpointer(directory, every=None, resume=False, on_event=None):
     """Build the checkpointer a campaign worker attaches to its task.
 
-    The one construction path shared by the CLI, the legacy per-task
-    worker and every pool worker, so a task checkpoints identically no
+    The one construction path shared by the CLI, every pool worker and
+    degraded in-process execution, so a task checkpoints identically no
     matter which execution mode ran it.  ``every=None`` means
     :data:`DEFAULT_CHECKPOINT_EVERY`.
     """

@@ -47,7 +47,7 @@ class Figure8Result:
         return "\n".join(lines)
 
 
-def run_figure8(draw=5):  # lb: noqa[LB105] — scripted worked example, zero randomness
+def run_figure8(draw=5):  # lb: noqa[LB203] — scripted worked example, zero randomness
     """Replay the paper's example; returns a :class:`Figure8Result`."""
     tickets = (1, 2, 3, 4)
     request_map = [True, False, True, True]

@@ -83,7 +83,7 @@ class HardwareScalingResult:
         return report
 
 
-def run_hardware_scaling(  # lb: noqa[LB105] — analytic gate-cost model, no RNG
+def run_hardware_scaling(  # lb: noqa[LB203] — analytic gate-cost model, no RNG
     master_counts=(2, 3, 4, 5, 6, 8, 10, 12),
     ticket_total=16,
     technology=None,
@@ -108,7 +108,7 @@ def run_hardware_scaling(  # lb: noqa[LB105] — analytic gate-cost model, no RN
     return HardwareScalingResult(rows)
 
 
-def run_hardware_comparison(  # lb: noqa[LB105] — analytic gate-cost model, no RNG
+def run_hardware_comparison(  # lb: noqa[LB203] — analytic gate-cost model, no RNG
     num_masters=4, tickets=(1, 2, 3, 4), tdma_slots=10, technology=None
 ):
     """Estimate all arbiter implementations; returns HardwareResult."""

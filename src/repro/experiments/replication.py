@@ -14,6 +14,7 @@ because the merge order is fixed by the seed list, the result is
 bit-identical whatever ``jobs`` is.
 """
 
+from repro.experiments.sweep import batch_results
 from repro.experiments.system import run_testbed
 from repro.metrics.report import format_table
 from repro.metrics.stats import StreamingReplication
@@ -122,48 +123,31 @@ def run_replicated_testbed(
     ``backend="vector"`` runs every replication as one lane of the
     struct-of-arrays engine (:mod:`repro.vector`) — per-run summaries
     are bit-identical to the scalar path, so the merged statistics are
-    too; ``"auto"`` picks the vector engine when numpy is available.
+    too.
     """
     seeds = list(seeds)
     from repro.experiments.supervisor import pool_map
 
-    if backend not in ("scalar", "vector", "auto"):
-        raise ValueError(
-            "backend must be 'scalar', 'vector' or 'auto', got {!r}".format(
-                backend
-            )
+    results = batch_results(
+        [
+            (arbiter_name, traffic_class, weights, cycles,
+             replication_seed(seed, seed_mode), warmup, arbiter_kwargs)
+            for seed in seeds
+        ],
+        backend,
+    )
+    if results is not None:
+        # Summarize each replication as its own chunk and merge in seed
+        # order — the exact shape of the pooled scalar path, so the
+        # statistics stay bit-identical whatever the backend.
+        replication = StreamingReplication()
+        for result in results:
+            chunk = StreamingReplication()
+            _record_replication(chunk, result)
+            replication.merge(chunk.state_dict())
+        return ReplicatedResult(
+            arbiter_name, traffic_class, weights, replication
         )
-    if backend != "scalar":
-        from repro.vector import have_numpy
-
-        if backend == "vector" or have_numpy():
-            from repro.vector import run_testbed_batch
-
-            batch = run_testbed_batch(
-                [
-                    dict(
-                        arbiter_name=arbiter_name,
-                        traffic_class_name=traffic_class,
-                        weights=list(weights),
-                        cycles=cycles,
-                        seed=replication_seed(seed, seed_mode),
-                        warmup=warmup,
-                        arbiter_kwargs=arbiter_kwargs,
-                    )
-                    for seed in seeds
-                ]
-            )
-            # Summarize each replication as its own chunk and merge in
-            # seed order — the exact shape of the pooled scalar path, so
-            # the statistics stay bit-identical whatever the backend.
-            replication = StreamingReplication()
-            for result in batch.results:
-                chunk = StreamingReplication()
-                _record_replication(chunk, result)
-                replication.merge(chunk.state_dict())
-            return ReplicatedResult(
-                arbiter_name, traffic_class, weights, replication
-            )
 
     states = pool_map(
         _replication_chunk,

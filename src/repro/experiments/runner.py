@@ -23,7 +23,7 @@ from repro.experiments.table1 import run_table1
 
 # The standard sweep: every batch-engine-supported arbiter crossed with
 # all nine traffic classes at the Table 1 weights.  ``backend=`` picks
-# the execution engine (scalar / vector / auto); rows are bit-identical
+# the execution engine (scalar / vector); rows are bit-identical
 # across backends.
 _SWEEP_ARBITERS = (
     "static-priority",

@@ -22,13 +22,7 @@ open/closed traffic, missing bounds) are never screened out — they go
 straight to simulation.
 """
 
-from repro.experiments.sweep import (
-    BACKENDS,
-    SweepResult,
-    _result_row,
-    _sweep_point,
-    point_seed,
-)
+from repro.experiments.sweep import SweepResult, point_seed, sweep_rows
 from repro.metrics.report import format_table
 
 #: Screening objectives (all minimized; the ``-`` entries are
@@ -165,21 +159,15 @@ def run_screened_sweep(
         bit-identical to the same configurations' rows from
         :func:`~repro.experiments.run_sweep`.
     """
-    # Imported lazily: repro.analytic's batch path pulls in the vector
-    # backend, which imports this package — a module-level import here
-    # would close that cycle.
+    # Imported lazily, so importing repro.experiments does not load the
+    # surrogate.
     from repro.analytic import (
         UnsupportedArbiterError,
         bound_for,
         score_grid,
         supported_arbiters,
     )
-    from repro.experiments.supervisor import pool_map
 
-    if backend not in BACKENDS:
-        raise ValueError(
-            "backend must be one of {}, got {!r}".format(BACKENDS, backend)
-        )
     if objective not in OBJECTIVES:
         raise ValueError(
             "objective must be one of {}, got {!r}".format(
@@ -301,33 +289,7 @@ def run_screened_sweep(
         )
         for c in survivors
     ]
-    rows = None
-    if backend != "scalar":
-        from repro.vector import have_numpy
-
-        if backend == "vector" or have_numpy():
-            from repro.vector import run_testbed_batch
-
-            batch = run_testbed_batch(
-                [
-                    dict(
-                        arbiter_name=call[0],
-                        traffic_class_name=call[1],
-                        weights=list(call[2]),
-                        cycles=call[3],
-                        seed=call[4],
-                        warmup=call[5],
-                        arbiter_kwargs=call[6],
-                    )
-                    for call in calls
-                ]
-            )
-            rows = [
-                _result_row(call[0], call[1], call[2], result)
-                for call, result in zip(calls, batch.results)
-            ]
-    if rows is None:
-        rows = pool_map(_sweep_point, calls, jobs=jobs)
+    rows = sweep_rows(calls, backend, jobs=jobs)
 
     frontier = sorted(rows, key=lambda row: _row_score(objective, row))
     frontier = frontier[:top_k]

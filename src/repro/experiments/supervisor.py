@@ -40,9 +40,9 @@ process:
 * a **circuit breaker** watches respawn churn: after
   ``circuit_breaker`` consecutive worker crashes with no intervening
   success, the pool is torn down and the campaign degrades to serial
-  in-process execution (tasks with a crash history still run in
-  one-shot containment subprocesses, so a poison task can never take
-  the supervisor down);
+  in-process execution (tasks with a crash history still run on a
+  single-use worker, so a poison task can never take the supervisor
+  down);
 * **SIGTERM drains gracefully**: in-flight tasks finish (their stage
   checkpoints are already on disk), nothing new is dispatched, and
   :class:`~repro.experiments.errors.CampaignDrained` tells the caller
@@ -69,11 +69,6 @@ byte-identical to a serial uninterrupted one.
 (sweep points, figure surfaces, replication chunks): call a module-level
 function over a list of argument tuples and get results back in
 submission order.
-
-Legacy note: constructing a :class:`Supervisor` with a custom
-``worker=`` entry point (the pre-pool injection seam) still runs one
-process per task with the injected function; the pool engages for the
-default worker, where reuse is safe by construction.
 """
 
 import json
@@ -318,8 +313,8 @@ class TaskSpec:
 def run_task_spec(spec, resume):
     """Execute one task spec in-process; returns the report text.
 
-    Shared by the per-task legacy worker and every pool worker, so both
-    execution modes produce byte-identical reports.
+    The default task runner of pool workers and of degraded in-process
+    execution, so both produce byte-identical reports.
     """
     kwargs = dict(spec.options)
     if spec.checkpoint_dir is not None:
@@ -361,27 +356,6 @@ def _die_with_parent():
         os._exit(1)
 
 
-def _worker_main(conn, spec, resume):
-    """Run one experiment and send ("ok", report) or ("error", message).
-
-    The legacy process-per-task entry point; the parent interprets
-    silence plus a nonzero exit code as a crash.
-    """
-    _die_with_parent()
-    try:
-        conn.send(("ok", run_task_spec(spec, resume)))
-    except BaseException as error:  # the parent needs the reason, always
-        try:
-            conn.send(
-                ("error", "{}: {}".format(type(error).__name__, error))
-            )
-        except (OSError, ValueError):
-            pass  # parent pipe is gone; the raise still ends the worker
-        raise
-    finally:
-        conn.close()
-
-
 def _heartbeat_sender(conn, lock, interval, stop):
     """Side thread: prove the worker process is scheduling.
 
@@ -397,7 +371,7 @@ def _heartbeat_sender(conn, lock, interval, stop):
             return  # the parent is gone; stop beating
 
 
-def _pool_worker_main(conn, task_runner, heartbeat_interval=None,
+def _serve_pool_tasks(conn, task_runner, heartbeat_interval=None,
                       chaos_setup=None):
     """A persistent pool worker: preload once, serve tasks until told
     to stop.
@@ -484,7 +458,7 @@ class _PoolWorker:
         parent_conn, child_conn = context.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = context.Process(
-            target=_pool_worker_main,
+            target=_serve_pool_tasks,
             args=(child_conn, task_runner, heartbeat_interval, chaos_setup),
             daemon=True,
         )
@@ -678,43 +652,17 @@ def pool_map(func, calls, jobs=None, task_runner=run_task_spec):
     return results
 
 
-def _containment_main(conn, task_runner, spec, resume):
-    """One-shot containment subprocess for a crash-history task.
-
-    The degraded (post-breaker) execution mode runs clean tasks
-    in-process, but a task that has already killed workers runs here:
-    if it dies again it takes this throwaway process with it, never the
-    supervisor.
-    """
-    try:
-        conn.send(("ok", task_runner(spec, resume)))
-    except BaseException as error:  # the parent needs the reason, always
-        try:
-            conn.send(
-                ("error", "{}: {}".format(type(error).__name__, error))
-            )
-        except (OSError, ValueError):
-            pass  # parent pipe is gone; the raise still ends the worker
-        raise
-    finally:
-        conn.close()
+def _ignore_event(message):
+    """The event sink when the caller passed none."""
 
 
-class _RunningTask:
-    def __init__(self, spec, process, conn, deadline, attempt):
+class _Task:
+    """One attempt at a task spec, with its wall-clock deadline."""
+
+    def __init__(self, spec, attempt, deadline=None):
         self.spec = spec
-        self.process = process
-        self.conn = conn
+        self.attempt = attempt
         self.deadline = deadline
-        self.attempt = attempt
-
-
-class _InlineTask:
-    """Task handle for degraded in-process execution (no process)."""
-
-    def __init__(self, spec, attempt):
-        self.spec = spec
-        self.attempt = attempt
 
 
 class Supervisor:
@@ -727,9 +675,6 @@ class Supervisor:
     :param backoff: base seconds of delay before retry ``n`` (doubled
         each further attempt).
     :param poll_interval: supervisor loop sleep between health checks.
-    :param worker: a legacy process-per-task entry point; passing a
-        custom one disables the pool and runs the injected function in
-        a fresh process per task (the original supervision seam).
     :param task_runner: in-pool task executor (injectable for tests);
         must be a module-level callable of ``(spec, resume)``.
     :param heartbeat_interval: seconds between worker heartbeat frames
@@ -753,9 +698,9 @@ class Supervisor:
     """
 
     def __init__(self, jobs=None, timeout=None, retries=1, backoff=0.5,
-                 poll_interval=0.05, worker=_worker_main,
-                 task_runner=run_task_spec, heartbeat_interval=0.5,
-                 heartbeat_timeout=10.0, quarantine_after=3,
+                 poll_interval=0.05, task_runner=run_task_spec,
+                 heartbeat_interval=0.5, heartbeat_timeout=10.0,
+                 quarantine_after=3,
                  circuit_breaker=6, chaos=None, drain_on_sigterm=True):
         if jobs is None:
             jobs = default_jobs()
@@ -778,7 +723,6 @@ class Supervisor:
         self.retries = retries
         self.backoff = backoff
         self.poll_interval = poll_interval
-        self.worker = worker
         self.task_runner = task_runner
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
@@ -788,7 +732,6 @@ class Supervisor:
         self.circuit_breaker = circuit_breaker
         self.chaos = chaos
         self.drain_on_sigterm = drain_on_sigterm
-        self.pooled = worker is _worker_main
         self._context = multiprocessing.get_context()
         self.workers_spawned = 0
         self.breaker_opened = False
@@ -840,10 +783,7 @@ class Supervisor:
             except (ValueError, OSError):
                 pass  # embedded interpreters without signal support
         try:
-            if self.pooled:
-                outcomes = self._run_pooled(specs, store, on_event)
-            else:
-                outcomes = self._run_legacy(specs, store, on_event)
+            outcomes = self._run_pooled(specs, store, on_event)
         finally:
             if installed:
                 signal.signal(signal.SIGTERM, previous_handler)
@@ -856,12 +796,6 @@ class Supervisor:
         return outcomes
 
     # -- shared bookkeeping ------------------------------------------------
-
-    def _make_emit(self, on_event):
-        def emit(message):
-            if on_event is not None:
-                on_event(message)
-        return emit
 
     def _make_settle(self, outcomes, store, emit):
         def settle(task, status, report=None, error=None):
@@ -953,7 +887,7 @@ class Supervisor:
     # -- pooled execution --------------------------------------------------
 
     def _run_pooled(self, specs, store, on_event):
-        emit = self._make_emit(on_event)
+        emit = on_event if on_event is not None else _ignore_event
         pending = deque((spec, 1, 0.0) for spec in specs)
         outcomes = {}
         settle = self._make_settle(outcomes, store, emit)
@@ -967,14 +901,7 @@ class Supervisor:
             heartbeat_interval=self.heartbeat_interval,
             worker_chaos=worker_chaos,
         )
-        busy = {}  # worker -> _PoolTask
-
-        class _PoolTask:
-            def __init__(self, spec, attempt, deadline):
-                self.spec = spec
-                self.attempt = attempt
-                self.deadline = deadline
-
+        busy = {}  # worker -> _Task
         try:
             while pending or busy:
                 if self._draining and not busy:
@@ -1004,7 +931,7 @@ class Supervisor:
                         None if self.timeout is None
                         else now + self.timeout
                     )
-                    busy[worker] = _PoolTask(spec, attempt, deadline)
+                    busy[worker] = _Task(spec, attempt, deadline)
                     emit(
                         "task {}: started (attempt {}/{}) on worker {}".format(
                             spec.name, attempt, self.retries + 1, worker.id
@@ -1143,9 +1070,9 @@ class Supervisor:
         """Serial fallback once the circuit breaker has opened.
 
         Clean tasks run in-process (no fork, no pipe — nothing left to
-        chaos-kill); tasks with a crash history run in one-shot
-        containment subprocesses so a poison task still cannot take the
-        supervisor down.
+        chaos-kill); tasks with a crash history run on a single-use
+        worker without chaos, health-checked like a pooled one, so a
+        poison task still cannot take the supervisor down.
         """
         while pending:
             self._announce_drain(emit, pending)
@@ -1155,28 +1082,17 @@ class Supervisor:
             wait = not_before - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
-            if self._crash_counts.get(spec.name):
-                emit(
-                    "task {}: started (attempt {}/{}) "
-                    "[degraded, contained]".format(
-                        spec.name, attempt, self.retries + 1
-                    )
-                )
-                task = self._launch_contained(spec, attempt)
-                try:
-                    while not self._collect(task, settle, retry_or_fail):
-                        time.sleep(self.poll_interval)
-                except KeyboardInterrupt:
-                    self._terminate(task)
-                    raise
-                continue
+            task = _Task(spec, attempt)
+            contained = bool(self._crash_counts.get(spec.name))
             emit(
-                "task {}: started (attempt {}/{}) "
-                "[degraded, in-process]".format(
-                    spec.name, attempt, self.retries + 1
+                "task {}: started (attempt {}/{}) [degraded, {}]".format(
+                    spec.name, attempt, self.retries + 1,
+                    "contained" if contained else "in-process",
                 )
             )
-            task = _InlineTask(spec, attempt)
+            if contained:
+                self._run_contained(task, settle, retry_or_fail, emit)
+                continue
             resume = spec.resume or attempt > 1
             try:
                 report = self.task_runner(spec, resume)
@@ -1191,145 +1107,33 @@ class Supervisor:
                 emit("task {}: done".format(spec.name))
                 settle(task, "done", report=report)
 
-    def _launch_contained(self, spec, attempt):
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        resume = spec.resume or attempt > 1
-        process = self._context.Process(
-            target=_containment_main,
-            args=(child_conn, self.task_runner, spec, resume),
-            daemon=True,
+    def _run_contained(self, task, settle, retry_or_fail, emit):
+        """Run one task on a fresh worker that serves only it."""
+        worker = _PoolWorker(
+            self._context, self.task_runner,
+            heartbeat_interval=self.heartbeat_interval,
         )
-        process.start()
-        child_conn.close()
         self.workers_spawned += 1
-        deadline = (
-            None if self.timeout is None
-            else time.monotonic() + self.timeout
-        )
-        return _RunningTask(spec, process, parent_conn, deadline, attempt)
-
-    # -- legacy process-per-task execution ---------------------------------
-
-    def _run_legacy(self, specs, store, on_event):
-        emit = self._make_emit(on_event)
-        pending = deque((spec, 1, 0.0) for spec in specs)
-        running = []
-        outcomes = {}
-        settle = self._make_settle(outcomes, store, emit)
-        retry_or_fail = self._make_retry_or_fail(pending, settle, emit)
-
+        now = time.monotonic()
+        if self.timeout is not None:
+            task.deadline = now + self.timeout
+        worker.last_heartbeat = now
+        resume = task.spec.resume or task.attempt > 1
+        crashed = True
         try:
-            while pending or running:
-                if self._draining and not running:
-                    self._announce_drain(emit, pending)
-                    break
-                now = time.monotonic()
-                self._announce_drain(emit, pending)
-                # Launch whatever is due and fits (never during a drain).
-                blocked = []
-                while (
-                    pending and len(running) < self.jobs
-                    and not self._draining
-                ):
-                    spec, attempt, not_before = pending.popleft()
-                    if not_before > now:
-                        blocked.append((spec, attempt, not_before))
-                        continue
-                    running.append(self._launch(spec, attempt, emit))
-                pending.extendleft(reversed(blocked))
-
-                still_running = []
-                for task in running:
-                    finished = self._collect(task, settle, retry_or_fail)
-                    if not finished:
-                        still_running.append(task)
-                running = still_running
-                if pending or running:
-                    time.sleep(self.poll_interval)
-        except KeyboardInterrupt:
-            for task in running:
-                self._terminate(task)
-            raise
-        return outcomes
-
-    def _launch(self, spec, attempt, emit):
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        # Retries resume from the task's own checkpoints instead of
-        # redoing completed stages; a resumed campaign resumes even on
-        # the first attempt.
-        resume = spec.resume or attempt > 1
-        process = self._context.Process(
-            target=self.worker, args=(child_conn, spec, resume), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        self.workers_spawned += 1
-        deadline = (
-            None if self.timeout is None
-            else time.monotonic() + self.timeout
-        )
-        emit(
-            "task {}: started (attempt {}/{})".format(
-                spec.name, attempt, self.retries + 1
-            )
-        )
-        return _RunningTask(spec, process, parent_conn, deadline, attempt)
-
-    def _collect(self, task, settle, retry_or_fail):
-        """Check one running task; True when it left the running set."""
-        if task.conn.poll():
-            try:
-                status, payload = task.conn.recv()
-            except (EOFError, OSError):
-                status, payload = None, None
-            task.process.join()
-            task.conn.close()
-            if status == "ok":
-                settle(task, "done", report=payload)
-            elif status == "error":
-                retry_or_fail(task, TaskError(payload))
-            else:
-                retry_or_fail(
-                    task,
-                    WorkerCrashError(
-                        "worker crashed (exit code {})".format(
-                            task.process.exitcode
-                        )
-                    ),
+            worker.send(("task", task.spec, resume))
+            finished = False
+            while not finished:
+                _wait_connections([worker.conn], timeout=self.poll_interval)
+                finished, crashed = self._collect_pooled(
+                    worker, task, settle, retry_or_fail, emit,
+                    time.monotonic(),
                 )
-            return True
-        if task.deadline is not None and time.monotonic() > task.deadline:
-            self._terminate(task)
-            task.conn.close()
-            retry_or_fail(
-                task,
-                TaskTimeoutError(
-                    "timed out after {:.0f}s".format(self.timeout)
-                ),
-            )
-            return True
-        if not task.process.is_alive():
-            task.process.join()
-            task.conn.close()
-            retry_or_fail(
-                task,
-                WorkerCrashError(
-                    "worker crashed (exit code {})".format(
-                        task.process.exitcode
-                    )
-                ),
-            )
-            return True
-        return False
-
-    def _terminate(self, task):
-        if not task.process.is_alive():
-            return
-        task.process.terminate()
-        task.process.join(timeout=2.0)
-        if task.process.is_alive():
-            task.process.kill()
-            task.process.join()
+        finally:
+            if crashed:
+                worker.terminate()
+            else:
+                worker.stop()
 
 
 class CampaignReport:

@@ -180,7 +180,49 @@ def _sweep_point(
     return _result_row(arbiter_name, traffic_name, weights, result)
 
 
-BACKENDS = ("scalar", "vector", "auto")
+BACKENDS = ("scalar", "vector")
+
+# A sweep call's fields, in order, as run_testbed_batch point keys.
+_POINT_KEYS = ("arbiter_name", "traffic_class_name", "weights", "cycles",
+               "seed", "warmup", "arbiter_kwargs")
+
+
+def batch_results(calls, backend):
+    """The vector engine's TestbedResult per call, or ``None`` for the
+    scalar backend (the caller then runs the calls itself).
+
+    ``calls`` are ``(arbiter, traffic, weights, cycles, seed, warmup,
+    arbiter_kwargs)`` tuples; an unknown ``backend`` raises
+    :class:`ValueError`.
+    """
+    if backend not in BACKENDS:
+        raise ValueError(
+            "backend must be one of {}, got {!r}".format(BACKENDS, backend)
+        )
+    if backend == "scalar":
+        return None
+    # Looked up on repro.vector at call time, so wrapping that module's
+    # attribute (profilers, the end-to-end benchmark's tracer) sees it.
+    from repro.vector import run_testbed_batch
+
+    return run_testbed_batch(
+        [dict(zip(_POINT_KEYS, call)) for call in calls]
+    ).results
+
+
+def sweep_rows(calls, backend, jobs=None):
+    """Row dicts for sweep ``calls`` on ``backend`` (see
+    :func:`batch_results`); ``jobs`` fans the scalar path over the
+    worker pool."""
+    from repro.experiments.supervisor import pool_map
+
+    results = batch_results(calls, backend)
+    if results is None:
+        return pool_map(_sweep_point, calls, jobs=jobs)
+    return [
+        _result_row(call[0], call[1], call[2], result)
+        for call, result in zip(calls, results)
+    ]
 
 
 def run_sweep(
@@ -209,19 +251,11 @@ def run_sweep(
         row order and values are independent of ``jobs``.
     :param backend: ``"scalar"`` (default) runs every point on the
         scalar simulator; ``"vector"`` batches supported points through
-        the struct-of-arrays engine (:mod:`repro.vector`) and raises
-        :class:`~repro.vector.VectorUnavailableError` without numpy;
-        ``"auto"`` uses the vector engine when numpy is importable and
-        silently falls back otherwise.  Rows are bit-identical across
-        backends (the vector engine falls back per point for configs it
-        does not model); ``jobs`` only applies to the scalar path.
+        the struct-of-arrays engine (:mod:`repro.vector`).  Rows are
+        bit-identical across backends (the vector engine falls back per
+        point for configs it does not model); ``jobs`` only applies to
+        the scalar path.
     """
-    from repro.experiments.supervisor import pool_map
-
-    if backend not in BACKENDS:
-        raise ValueError(
-            "backend must be one of {}, got {!r}".format(BACKENDS, backend)
-        )
     arbiter_kwargs = arbiter_kwargs or {}
     calls = []
     for arbiter_name in arbiters:
@@ -237,30 +271,4 @@ def run_sweep(
                     arbiter_kwargs.get(arbiter_name, {}),
                 )
             )
-    if backend != "scalar":
-        from repro.vector import have_numpy
-
-        if backend == "vector" or have_numpy():
-            from repro.vector import run_testbed_batch
-
-            batch = run_testbed_batch(
-                [
-                    dict(
-                        arbiter_name=call[0],
-                        traffic_class_name=call[1],
-                        weights=list(call[2]),
-                        cycles=call[3],
-                        seed=call[4],
-                        warmup=call[5],
-                        arbiter_kwargs=call[6],
-                    )
-                    for call in calls
-                ]
-            )
-            return SweepResult(
-                [
-                    _result_row(call[0], call[1], call[2], result)
-                    for call, result in zip(calls, batch.results)
-                ]
-            )
-    return SweepResult(pool_map(_sweep_point, calls, jobs=jobs))
+    return SweepResult(sweep_rows(calls, backend, jobs=jobs))

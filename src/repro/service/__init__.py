@@ -19,12 +19,10 @@ warm content-addressed cache:
 * :mod:`repro.service.engine` — the lease/worker loop delegating
   execution to the PR 6 :class:`~repro.experiments.supervisor.Supervisor`
   (timeouts, retries, heartbeats, quarantine, circuit breaker);
-* :mod:`repro.service.core` — the framework-agnostic request API both
-  front-ends dispatch into;
+* :mod:`repro.service.core` — the framework-agnostic request API the
+  HTTP front-end dispatches into;
 * :mod:`repro.service.http` — the dependency-free stdlib HTTP server
   (graceful SIGTERM drain, exit 143, resumable state);
-* :mod:`repro.service.app` — the FastAPI/pydantic front-end (optional
-  ``service`` extra) exposing the same core;
 * :mod:`repro.service.client` — a stdlib client used by the chaos
   harness, the benchmark and the tests.
 """

@@ -1,9 +1,7 @@
 """``python -m repro.service`` — run the durable DSE server.
 
-The default front-end is the dependency-free stdlib server
-(:mod:`repro.service.http`); ``--fastapi`` switches to the FastAPI app
-served by uvicorn when the optional ``service`` extra is installed,
-failing with a clear message (not a traceback) when it is not.
+The front-end is the dependency-free stdlib server
+(:mod:`repro.service.http`).
 
 Exit codes follow the repo convention: ``0`` clean shutdown, ``2``
 usage error, ``130`` SIGINT, ``143`` graceful SIGTERM drain.
@@ -59,9 +57,6 @@ def build_parser():
     parser.add_argument("--circuit-breaker", type=int, default=6,
                         help="consecutive crashes before the pool "
                              "degrades to serial (default: %(default)s)")
-    parser.add_argument("--fastapi", action="store_true",
-                        help="serve the FastAPI front-end via uvicorn "
-                             "(requires the optional 'service' extra)")
     parser.add_argument("--verbose", action="store_true",
                         help="log requests and engine events to stderr")
     return parser
@@ -84,30 +79,8 @@ def main(argv=None):
             print("[service] {}".format(message), file=sys.stderr,
                   flush=True)
 
-    # Imported late so ``--help`` costs nothing and a defective
-    # environment surfaces against the chosen front-end only.
-    from repro.service.http import core_from_args
-
-    if args.fastapi:
-        try:
-            import uvicorn
-
-            from repro.service.app import create_app
-        except ImportError as error:
-            print(
-                "error: the FastAPI front-end needs the optional "
-                "'service' extra (pip install .[service]): {}".format(
-                    error
-                ),
-                file=sys.stderr,
-            )
-            return 2
-        core = core_from_args(args, on_event=on_event)
-        app = create_app(core)
-        uvicorn.run(app, host=args.host, port=args.port)
-        return 0
-
-    from repro.service.http import run_server
+    # Imported late so ``--help`` costs nothing.
+    from repro.service.http import core_from_args, run_server
 
     core = core_from_args(args, on_event=on_event)
     return run_server(core, host=args.host, port=args.port,

@@ -1,4 +1,4 @@
-"""The framework-agnostic service core both front-ends dispatch into.
+"""The framework-agnostic service core the HTTP front-end dispatches into.
 
 Every public request method returns the same triple —
 ``(status, body, headers)`` with ``status`` an HTTP status code,
@@ -6,9 +6,8 @@ Every public request method returns the same triple —
 headers (``Retry-After`` for backpressure) — and **never raises** for a
 request defect: typed :class:`~repro.service.models.ServiceError`
 values are converted to their canonical status/body here, once, so the
-stdlib front-end (:mod:`repro.service.http`) and the FastAPI front-end
-(:mod:`repro.service.app`) translate requests mechanically and cannot
-disagree about semantics.
+stdlib front-end (:mod:`repro.service.http`) translates requests
+mechanically and holds no semantics of its own.
 
 The core owns the whole durable stack: the WAL-backed
 :class:`~repro.service.queue.JobQueue`, the

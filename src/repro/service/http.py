@@ -1,10 +1,8 @@
 """Dependency-free HTTP front-end: stdlib server, graceful SIGTERM.
 
-This is *the* server the tests, the chaos harness and CI run — it needs
-nothing beyond the standard library, so the crash-consistency story is
-provable in the minimal environment.  (The FastAPI front-end in
-:mod:`repro.service.app` is the same :class:`ServiceCore` behind a
-framework; it is an optional extra, never a requirement.)
+The service's only front-end: it needs nothing beyond the standard
+library, so the crash-consistency story is provable in the minimal
+environment.
 
 Request handling is a mechanical dispatch table into the core's
 ``(status, body, headers)`` triples.  Process lifecycle is the part

@@ -12,10 +12,9 @@ CLI and the chaos harness all address the same memo table.
 Errors follow the campaign engine's taxonomy style
 (:mod:`repro.experiments.errors`): each :class:`ServiceError` subclass
 carries a stable machine-readable ``kind`` plus the HTTP status it maps
-to, so front-ends translate mechanically and clients key on types
-instead of prose.  The pydantic-modelled request schemas live with the
-FastAPI front-end (:mod:`repro.service.app`, optional ``service``
-extra); this module is the single source of validation truth either way.
+to, so the front-end translates mechanically and clients key on types
+instead of prose.  This module is the single source of validation
+truth.
 """
 
 import math

@@ -5,18 +5,16 @@ advances all of them one bus cycle per vectorized step — bit-identical
 to the scalar dense simulator (equivalence is enforced by fingerprint
 comparison and a strict cross-check; see :mod:`repro.vector.lanes`).
 
-numpy is an optional extra (``pip install .[vector]``): importing this
-package never requires it; anything that actually needs the arrays
-raises :class:`VectorUnavailableError`, and the experiment runners fall
-back to the scalar path (``backend="auto"``).
+numpy is imported lazily, by the code that builds arrays: importing
+this package does not load numpy.
 """
 
-from repro.vector._compat import VectorUnavailableError, have_numpy
 from repro.vector.backend import (
     BatchRun,
     make_testbed_builder,
     run_testbed_batch,
 )
+from repro.vector.engine import VectorEngine
 from repro.vector.lanes import (
     LanePlan,
     UnsupportedConfigError,
@@ -25,6 +23,7 @@ from repro.vector.lanes import (
     plan_lane,
     scalar_fingerprint,
 )
+from repro.vector.lfsr import VectorLFSR
 
 __all__ = [
     "BatchRun",
@@ -33,25 +32,10 @@ __all__ = [
     "VectorDivergenceError",
     "VectorEngine",
     "VectorLFSR",
-    "VectorUnavailableError",
     "arbiter_check_state",
-    "have_numpy",
     "make_testbed_builder",
     "plan_lane",
     "run_testbed_batch",
     "scalar_fingerprint",
 ]
 
-
-def __getattr__(name):
-    # VectorEngine / VectorLFSR construct numpy arrays; import them
-    # lazily so `import repro.vector` works on a numpy-less install.
-    if name == "VectorEngine":
-        from repro.vector.engine import VectorEngine
-
-        return VectorEngine
-    if name == "VectorLFSR":
-        from repro.vector.lfsr import VectorLFSR
-
-        return VectorLFSR
-    raise AttributeError(name)

@@ -25,7 +25,6 @@ from repro.experiments.system import (
     run_testbed,
 )
 from repro.traffic.classes import get_traffic_class
-from repro.vector._compat import get_numpy
 from repro.vector.engine import VectorEngine
 from repro.vector.lanes import UnsupportedConfigError, plan_lane
 
@@ -133,13 +132,11 @@ def run_testbed_batch(points, strict=True, block_size=32):
         divergence).
     :param block_size: LFSR samples pre-drawn per refill block.
 
-    Raises :class:`~repro.vector._compat.VectorUnavailableError` when
-    numpy is missing; unsupported *configurations* never raise — those
-    points silently run on the scalar engine (see ``BatchRun.fallbacks``
-    for which, and why).  Results carry a ``backend`` attribute
+    Unsupported *configurations* never raise — those points silently
+    run on the scalar engine (see ``BatchRun.fallbacks`` for which, and
+    why).  Results carry a ``backend`` attribute
     (``"vector"`` or ``"scalar"``) and are bit-identical either way.
     """
-    get_numpy()
     specs = [_normalize_point(point) for point in points]
     groups = {}
     fallbacks = []

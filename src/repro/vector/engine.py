@@ -30,7 +30,6 @@ the same run/reset schedule on the dense simulator, and raises
 import pickle
 
 from repro.metrics.collector import MetricsCollector
-from repro.vector._compat import get_numpy
 from repro.vector.lanes import (
     LOTTERY_FAMILIES,
     VectorDivergenceError,
@@ -50,7 +49,8 @@ class VectorEngine:
     """
 
     def __init__(self, plans, block_size=32):
-        np = get_numpy()
+        import numpy as np
+
         if not plans:
             raise ValueError("need at least one lane")
         masters = {plan.num_masters for plan in plans}

@@ -19,21 +19,10 @@ which is what the equivalence tests pin.
 """
 
 
-def _parity(np, values):
-    """Per-element parity of uint64 ``values`` (0 or 1, uint64)."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(values).astype(np.uint64) & np.uint64(1)
-    # xor-fold fallback for older numpy
-    folded = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        folded ^= folded >> np.uint64(shift)
-    return folded & np.uint64(1)
-
-
 class VectorLFSR:
     """A bank of per-lane Fibonacci LFSRs advanced together.
 
-    :param np: the numpy module (from :func:`repro.vector._compat`).
+    :param np: the numpy module.
     :param masks: per-lane jump-mask tuples (``LFSR.jump_masks``); lanes
         may have different widths — shorter mask tuples are zero-padded,
         and a zero mask row contributes nothing to that lane's samples.
@@ -67,7 +56,9 @@ class VectorLFSR:
     def _sample_all(self, states):
         """One jump for every lane: ``(lanes,)`` states -> next states."""
         np = self._np
-        bits = _parity(np, states[None, :] & self._masks)
+        # Per-element parity of the masked states (0 or 1, uint64).
+        bits = (np.bitwise_count(states[None, :] & self._masks)
+                .astype(np.uint64) & np.uint64(1))
         return (bits << self._shifts).sum(axis=0, dtype=np.uint64)
 
     def _refill(self):

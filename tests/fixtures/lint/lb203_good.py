@@ -1,5 +1,6 @@
-# lb: module=repro.sim.fixture_seeded
-"""LB203 true negatives: seeds reaching sinks directly, via hops, via closures."""
+# lb: module=repro.experiments.fixture_seeded
+"""LB203 true negatives: fixed-default seeds reaching sinks directly, via
+hops, via closures and via stores; a deterministic entry point opting out."""
 
 import random
 
@@ -30,3 +31,17 @@ class Simulation:
 
     def run(self, cycles):
         return random.Random(self.seed).random() * cycles
+
+
+def run_with_base_seed(replicates=8, base_seed=1):
+    # Arithmetic seed derivation consumes the seed.
+    return [run_sim(1000, seed=base_seed + i) for i in range(replicates)]
+
+
+def run_analytic_model(sizes=(2, 4, 8)):  # lb: noqa[LB203] — closed-form, no RNG
+    return [size * size for size in sizes]
+
+
+def helper_function(cycles):
+    # Not a run_* entry point; out of scope.
+    return cycles

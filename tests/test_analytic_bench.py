@@ -43,7 +43,6 @@ def _stub_legs(monkeypatch, ok):
 
 
 def test_quick_analytic_benchmark_reports_and_passes(monkeypatch):
-    pytest.importorskip("numpy")
     _stub_legs(monkeypatch, ok=True)
     results = bench.run_analytic_benchmark(quick=True, repeats=1)
     assert results["all_identical"]
@@ -58,7 +57,6 @@ def test_quick_analytic_benchmark_reports_and_passes(monkeypatch):
 
 def test_bound_violation_fails_the_benchmark(monkeypatch, tmp_path,
                                              capsys):
-    pytest.importorskip("numpy")
     _stub_legs(monkeypatch, ok=False)
     output = tmp_path / "BENCH_analytic.json"
     assert bench.main(

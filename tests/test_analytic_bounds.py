@@ -21,7 +21,7 @@ from repro.analytic import (
 def calibration_report():
     """One cross-validation sweep at the calibration settings; every
     parametrized case below reads its combination's row from it."""
-    return validate_surrogate(backend="auto")
+    return validate_surrogate(backend="vector")
 
 
 def test_every_supported_combination_has_a_bound():

@@ -1,5 +1,5 @@
 """The analytic surrogate: closed-form exactness, input validation,
-scalar<->batch agreement, and the numpy-less degradation path."""
+and scalar<->batch agreement."""
 
 import pytest
 
@@ -15,10 +15,6 @@ from repro.arbiters.registry import make_arbiter
 from repro.experiments.sweep import SweepResult
 
 WEIGHTS = (12, 2, 6, 1)
-
-
-def _force_unavailable(monkeypatch):
-    monkeypatch.setattr("repro.vector._compat._FORCE_UNAVAILABLE", True)
 
 
 def test_supported_arbiters_exist_in_registry():
@@ -122,7 +118,6 @@ def _grid_points():
 
 
 def test_score_grid_matches_predict():
-    pytest.importorskip("numpy")
     points = _grid_points()
     batch = score_grid(points, horizon=15_000, percentiles=True)
     for point, result in zip(points, batch):
@@ -150,21 +145,6 @@ def test_score_grid_matches_predict():
                 result.latency_percentiles[key], want_row
             ):
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
-
-
-def test_score_grid_degrades_without_numpy(monkeypatch):
-    _force_unavailable(monkeypatch)
-    points = _grid_points()[:6]
-    batch = score_grid(points)
-    assert len(batch) == len(points)
-    for point, result in zip(points, batch):
-        scalar = predict(
-            point["arbiter_name"],
-            point["traffic_class_name"],
-            weights=point["weights"],
-        )
-        assert result.bandwidth_shares == scalar.bandwidth_shares
-        assert result.utilization == scalar.utilization
 
 
 def test_score_grid_rejects_unsupported_points():

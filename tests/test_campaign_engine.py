@@ -1,9 +1,10 @@
 """Tests for the persistent worker pool and the cached campaign engine.
 
-The supervision seam (`worker=`) keeps its own tests in
-``test_supervisor.py``; everything here exercises the pool path: worker
-reuse, crash containment, ``pool_map`` determinism, and campaigns that
-are bit-identical across ``jobs`` counts and cache reruns.
+Supervisor retry/timeout basics and the result store live in
+``test_supervisor.py``; everything here exercises the pool itself:
+worker reuse, crash containment, ``pool_map`` determinism, and
+campaigns that are bit-identical across ``jobs`` counts and cache
+reruns.
 """
 
 import os

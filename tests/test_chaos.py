@@ -11,6 +11,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -43,6 +44,16 @@ def poison_task_runner(spec, resume):
     if spec.name == "poison":
         os._exit(9)
     return "ok:" + spec.name
+
+
+def crash_then_hang_runner(spec, resume):
+    # The first attempt crashes its pool worker (opening a one-crash
+    # breaker); every retry records its pid and hangs.
+    if not resume:
+        os._exit(9)
+    with open(spec.options["pid_file"], "a") as handle:
+        handle.write("{}\n".format(os.getpid()))
+    time.sleep(60)
 
 
 def self_stopping_runner(spec, resume):
@@ -293,6 +304,35 @@ def test_circuit_breaker_degrades_to_in_process_serial():
         assert outcomes[name].attempts == 3
     assert any("[degraded, contained]" in event for event in events)
     assert any("[degraded, in-process]" in event for event in events)
+
+
+def test_degraded_contained_task_times_out_and_worker_is_killed(tmp_path):
+    pid_file = tmp_path / "pids"
+    events = []
+    supervisor = _fast_supervisor(
+        jobs=1, retries=2, timeout=0.5, quarantine_after=None,
+        circuit_breaker=1, task_runner=crash_then_hang_runner,
+        heartbeat_interval=0.05, heartbeat_timeout=5.0,
+    )
+    start = time.monotonic()
+    outcomes = supervisor.run(
+        [TaskSpec("hang", options={"pid_file": str(pid_file)})],
+        on_event=events.append,
+    )
+    assert time.monotonic() - start < 20
+    assert supervisor.breaker_opened
+    outcome = outcomes["hang"]
+    assert outcome.status == "failed"
+    assert outcome.error_kind == "task-timeout"
+    assert outcome.attempts == 3
+    # Both retries ran contained, each on its own single-use worker,
+    # and each worker was killed (and reaped) at its deadline.
+    assert sum("[degraded, contained]" in event for event in events) == 2
+    pids = [int(line) for line in pid_file.read_text().split()]
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # -- Supervisor: heartbeat liveness ---------------------------------------

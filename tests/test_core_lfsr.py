@@ -1,6 +1,8 @@
 """Tests for the LFSR random number generator."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.core.lfsr import LFSR, MAXIMAL_TAPS
 
@@ -115,3 +117,24 @@ def test_sample_jump_matches_steps_with_custom_taps_and_stride():
         for _ in range(5):
             stepped.step()
         assert jumped.sample() == stepped.state
+
+
+@given(
+    width=st.sampled_from(sorted(MAXIMAL_TAPS)),
+    seed=st.integers(min_value=-(1 << 40), max_value=1 << 40),
+)
+def test_seed_with_nonzero_low_bits_keeps_its_state(width, seed):
+    mask = (1 << width) - 1
+    assume(seed & mask)
+    assert LFSR(width, seed=seed).state == seed & mask
+
+
+@given(
+    width=st.sampled_from(sorted(MAXIMAL_TAPS)),
+    multiple=st.integers(min_value=1, max_value=1 << 24),
+)
+def test_seed_without_low_bits_folds_to_a_nonzero_state(width, multiple):
+    mask = (1 << width) - 1
+    lfsr = LFSR(width, seed=multiple << width)
+    assert 0 < lfsr.state <= mask
+    assert lfsr.state == ((multiple << width) % mask or mask)

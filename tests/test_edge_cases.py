@@ -107,3 +107,16 @@ def test_hwscale_experiment_runs():
 
     result = run_experiment("hwscale")
     assert result.crossover_masters() == 8
+
+
+@pytest.mark.parametrize(
+    "name,seed",
+    [("figure5", 1024), ("figure5", 4096), ("starvation", 65536)],
+)
+def test_seeds_wider_than_the_lfsr_run(name, seed):
+    # Each seed is a multiple of 2**width of the LFSR it feeds (10 bits
+    # for figure5's managers, 16 for starvation's), so its low bits are
+    # all zero.
+    from repro.experiments.runner import run_experiment
+
+    assert run_experiment(name, scale=0.01, seed=seed).format_report()

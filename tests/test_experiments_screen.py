@@ -28,7 +28,7 @@ SETTINGS = dict(
     cycles=CALIBRATION["cycles"],
     warmup=CALIBRATION["warmup"],
     seed=CALIBRATION["seed"],
-    backend="auto",
+    backend="vector",
 )
 
 

@@ -45,7 +45,7 @@ def test_bad_fixture_fails_the_cli_with_exit_1():
 
 
 def test_every_rule_has_a_fixture_verified_true_positive():
-    for rule in ("LB101", "LB102", "LB103", "LB104", "LB105", "LB106",
+    for rule in ("LB101", "LB102", "LB103", "LB104", "LB106",
                  "LB107", "LB201", "LB202", "LB203", "LB204"):
         bad = os.path.join(FIXTURES, "{}_bad.py".format(rule.lower()))
         result = run_lint("--select", rule, bad)
@@ -54,7 +54,7 @@ def test_every_rule_has_a_fixture_verified_true_positive():
 
 
 def test_every_rule_has_a_fixture_verified_true_negative():
-    for rule in ("LB101", "LB102", "LB103", "LB104", "LB105", "LB106",
+    for rule in ("LB101", "LB102", "LB103", "LB104", "LB106",
                  "LB107", "LB201", "LB202", "LB203", "LB204"):
         good = os.path.join(FIXTURES, "{}_good.py".format(rule.lower()))
         result = run_lint("--select", rule, good)
@@ -67,11 +67,11 @@ def test_introducing_a_bad_file_into_the_tree_fails(tmp_path):
     tree = tmp_path / "pkg"
     tree.mkdir()
     shutil.copy(
-        os.path.join(FIXTURES, "lb105_bad.py"), str(tree / "newexp.py")
+        os.path.join(FIXTURES, "lb203_bad.py"), str(tree / "newexp.py")
     )
     result = run_lint(str(tree))
     assert result.returncode == 1
-    assert "LB105" in result.stdout
+    assert "LB203" in result.stdout
 
 
 def test_fixture_directory_is_excluded_from_tree_walks_only(tmp_path):
@@ -124,7 +124,7 @@ def test_missing_path_is_a_usage_error():
 def test_list_rules_prints_catalog():
     result = run_lint("--list-rules")
     assert result.returncode == 0
-    for rule in ("LB101", "LB102", "LB103", "LB104", "LB105", "LB106",
+    for rule in ("LB101", "LB102", "LB103", "LB104", "LB106",
                  "LB201", "LB202", "LB203", "LB204"):
         assert rule in result.stdout
 
@@ -151,7 +151,7 @@ def test_baseline_does_not_mask_new_findings(tmp_path):
     )
     # A different bad file is not covered by that baseline.
     result = run_lint(
-        "--baseline", baseline, os.path.join(FIXTURES, "lb105_bad.py")
+        "--baseline", baseline, os.path.join(FIXTURES, "lb203_bad.py")
     )
     assert result.returncode == 1
 
@@ -200,11 +200,11 @@ def test_baseline_rejects_malformed_entries(tmp_path):
 
 
 def test_baseline_matching_survives_line_drift(tmp_path):
-    original = os.path.join(FIXTURES, "lb105_bad.py")
+    original = os.path.join(FIXTURES, "lb203_bad.py")
     baseline = str(tmp_path / "baseline.json")
     run_lint("--write-baseline", baseline, original)
     # Same content shifted 20 lines down: fingerprints still match.
-    shifted = tmp_path / "lb105_shifted.py"
+    shifted = tmp_path / "lb203_shifted.py"
     with open(original) as handle:
         content = handle.read()
     directive, rest = content.split("\n", 1)

@@ -75,13 +75,18 @@ def test_lb104_bad_fixture_catches_stale_cache_paths():
     assert len(findings) == 3
 
 
-def test_lb105_bad_fixture_catches_seed_violations():
-    findings = findings_for("lb105_bad.py", "LB105")
-    messages = "\n".join(f.message for f in findings)
-    assert "run_seedless_sweep() takes no seed" in messages
-    assert "seed=None" in messages
-    assert "never uses it" in messages
-    assert len(findings) == 3
+def test_lb203_bad_fixture_catches_seed_violations():
+    findings = findings_for("lb203_bad.py", "LB203")
+    by_line = {f.line: f.message for f in findings}
+    assert sorted(by_line) == [5, 9, 13, 18, 23]
+    # Entry-point signatures: no seed at all, or a None default.
+    assert "run_seedless_sweep() takes no seed" in by_line[5]
+    assert "run_none_seeded() defaults seed=None" in by_line[9]
+    # Flow: dropped directly, and dropped one hop down.
+    assert "of run_dropped_seed never reaches" in by_line[13]
+    assert "of run_sim never reaches" in by_line[18]
+    assert "of helper never reaches" in by_line[23]
+    assert len(findings) == 5
 
 
 def test_lb106_bad_fixture_catches_truncating_writes():
@@ -123,9 +128,9 @@ def test_lb107_bad_fixture_catches_swallowed_exceptions():
         "lb102_good.py",
         "lb103_good.py",
         "lb104_good.py",
-        "lb105_good.py",
         "lb106_good.py",
         "lb107_good.py",
+        "lb203_good.py",
     ],
 )
 def test_good_fixtures_are_clean_under_all_rules(name):
@@ -191,7 +196,7 @@ def test_noqa_bare_suppresses_all_rules_on_line():
 
 
 def test_noqa_scoped_to_other_rule_does_not_suppress():
-    source = "import time\nSTAMP = time.time()  # lb: noqa[LB105]\n"
+    source = "import time\nSTAMP = time.time()  # lb: noqa[LB203]\n"
     findings = lint_source(source, module="repro.sim.x")
     assert [f.rule for f in findings] == ["LB101"]
 
@@ -224,7 +229,7 @@ def test_lb106_scopes_to_persistence_modules():
 def test_rule_registry_has_the_documented_rules():
     ids = [rule.id for rule in get_rules()]
     assert ids == [
-        "LB101", "LB102", "LB103", "LB104", "LB105", "LB106", "LB107",
+        "LB101", "LB102", "LB103", "LB104", "LB106", "LB107",
         "LB201", "LB202", "LB203", "LB204",
     ]
     for rule in get_rules():

@@ -14,33 +14,30 @@ from repro.experiments.supervisor import (
 )
 
 
-# Worker entry points must be module-level so every multiprocessing
-# start method can reach them.
+# Task runners must be module-level so every multiprocessing start
+# method can reach them.
 
-def ok_worker(conn, spec, resume):
-    conn.send(("ok", "report for " + spec.name))
-    conn.close()
+def ok_runner(spec, resume):
+    return "report for " + spec.name
 
 
-def crash_worker(conn, spec, resume):
+def crash_runner(spec, resume):
     os._exit(3)
 
 
-def hang_worker(conn, spec, resume):
+def hang_runner(spec, resume):
     time.sleep(60)
 
 
-def error_worker(conn, spec, resume):
-    conn.send(("error", "ValueError: synthetic failure"))
-    conn.close()
+def error_runner(spec, resume):
+    raise ValueError("synthetic failure")
 
 
-def flaky_worker(conn, spec, resume):
+def flaky_runner(spec, resume):
     # Crashes on the first attempt; the retry arrives with resume=True.
     if not resume:
         os._exit(1)
-    conn.send(("ok", "recovered " + spec.name))
-    conn.close()
+    return "recovered " + spec.name
 
 
 def _fast_supervisor(**kwargs):
@@ -80,7 +77,7 @@ def test_store_missing_file_is_empty(tmp_path):
 
 def test_tasks_complete_and_land_in_store(tmp_path):
     store = ResultStore(str(tmp_path / "r.jsonl"))
-    supervisor = _fast_supervisor(jobs=3, worker=ok_worker)
+    supervisor = _fast_supervisor(jobs=3, task_runner=ok_runner)
     specs = [TaskSpec("t{}".format(i)) for i in range(5)]
     outcomes = supervisor.run(specs, store=store)
     assert len(outcomes) == 5
@@ -89,7 +86,7 @@ def test_tasks_complete_and_land_in_store(tmp_path):
 
 
 def test_worker_crash_fails_task_not_campaign(tmp_path):
-    supervisor = _fast_supervisor(jobs=2, retries=0, worker=crash_worker)
+    supervisor = _fast_supervisor(jobs=2, retries=0, task_runner=crash_runner)
     outcomes = supervisor.run([TaskSpec("dies"), TaskSpec("dies2")])
     assert outcomes["dies"].status == "failed"
     assert "crashed" in outcomes["dies"].error
@@ -97,7 +94,7 @@ def test_worker_crash_fails_task_not_campaign(tmp_path):
 
 
 def test_worker_error_message_is_captured():
-    supervisor = _fast_supervisor(retries=0, worker=error_worker)
+    supervisor = _fast_supervisor(retries=0, task_runner=error_runner)
     outcomes = supervisor.run([TaskSpec("t")])
     assert outcomes["t"].status == "failed"
     assert "synthetic failure" in outcomes["t"].error
@@ -105,7 +102,7 @@ def test_worker_error_message_is_captured():
 
 def test_timeout_kills_hanging_worker():
     supervisor = _fast_supervisor(
-        timeout=0.3, retries=0, worker=hang_worker
+        timeout=0.3, retries=0, task_runner=hang_runner
     )
     start = time.monotonic()
     outcomes = supervisor.run([TaskSpec("hangs")])
@@ -116,7 +113,7 @@ def test_timeout_kills_hanging_worker():
 
 def test_retry_recovers_with_resume_flag():
     events = []
-    supervisor = _fast_supervisor(retries=1, worker=flaky_worker)
+    supervisor = _fast_supervisor(retries=1, task_runner=flaky_runner)
     outcomes = supervisor.run([TaskSpec("flaky")], on_event=events.append)
     assert outcomes["flaky"].status == "done"
     assert outcomes["flaky"].attempts == 2
@@ -125,7 +122,9 @@ def test_retry_recovers_with_resume_flag():
 
 
 def test_retries_are_bounded():
-    supervisor = _fast_supervisor(retries=2, worker=crash_worker)
+    supervisor = _fast_supervisor(
+        retries=2, quarantine_after=None, task_runner=crash_runner
+    )
     outcomes = supervisor.run([TaskSpec("dies")])
     assert outcomes["dies"].status == "failed"
     assert outcomes["dies"].attempts == 3
@@ -150,7 +149,7 @@ def test_campaign_resume_skips_recorded_tasks(tmp_path):
     first = run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(jobs=2, worker=ok_worker),
+        supervisor=_fast_supervisor(jobs=2, task_runner=ok_runner),
     )
     assert first.ok and first.skipped == []
     assert [name for name, _ in first.sections] == names
@@ -161,7 +160,7 @@ def test_campaign_resume_skips_recorded_tasks(tmp_path):
         resume=True,
         checkpoint_dir=directory,
         on_event=events.append,
-        supervisor=_fast_supervisor(jobs=2, worker=ok_worker),
+        supervisor=_fast_supervisor(jobs=2, task_runner=ok_runner),
     )
     assert second.skipped == names
     assert second.format_report() == first.format_report()
@@ -174,12 +173,12 @@ def test_campaign_without_resume_restarts_fresh(tmp_path):
     run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     again = run_campaign(
         names=names,
         checkpoint_dir=directory,
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     assert again.skipped == []
 
@@ -188,7 +187,7 @@ def test_campaign_reports_failures_without_aborting(tmp_path):
     campaign = run_campaign(
         names=["figure8", "hardware"],
         checkpoint_dir=str(tmp_path / "ck"),
-        supervisor=_fast_supervisor(retries=0, worker=crash_worker),
+        supervisor=_fast_supervisor(retries=0, task_runner=crash_runner),
     )
     assert not campaign.ok
     assert set(campaign.failed) == {"figure8", "hardware"}
@@ -201,7 +200,7 @@ def test_campaign_store_is_json_lines(tmp_path):
     run_campaign(
         names=["figure8"],
         checkpoint_dir=str(directory),
-        supervisor=_fast_supervisor(worker=ok_worker),
+        supervisor=_fast_supervisor(task_runner=ok_runner),
     )
     lines = (directory / "results.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]

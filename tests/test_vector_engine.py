@@ -21,8 +21,6 @@ from repro.vector.lanes import (
     plan_lane,
 )
 
-pytest.importorskip("numpy")
-
 ARBITERS = (
     ("lottery-static", {}),
     ("lottery-static", {"draw_policy": "rejection"}),

@@ -1,11 +1,10 @@
 """VectorLFSR: per-lane streams must equal the scalar LFSR bit-for-bit."""
 
+import numpy as np
 import pytest
 
 from repro.core.lfsr import LFSR
 from repro.vector.lfsr import VectorLFSR
-
-np = pytest.importorskip("numpy")
 
 
 def _bank(widths, seeds, block_size):
