@@ -1,26 +1,27 @@
-"""LB106: persistent-artifact writes must go through ``atomic_write``.
+"""LB106: persistent-artifact writes must go through ``repro.ioutil``.
 
-Everything the campaign engine persists under
-:mod:`repro.experiments` — cache envelopes, checkpoint containers,
-result exports — and the snapshot container layer itself
-(:mod:`repro.sim.snapshot`) must survive a SIGKILL or power cut landing
-between any two syscalls of a save.  :func:`repro.ioutil.atomic_write`
-(sibling temp file + fsync + ``os.replace`` + directory fsync) is the
-one blessed path; a bare ``open(path, "w")`` in these modules is a torn
-half-file waiting for the wrong moment.
+Everything the campaign engine and the service persist — cache
+envelopes, checkpoint containers, result exports, the result store and
+the job WAL under :mod:`repro.experiments` and :mod:`repro.service` —
+and the snapshot container layer itself (:mod:`repro.sim.snapshot`)
+must survive a SIGKILL or power cut landing between any two syscalls of
+a save.  :mod:`repro.ioutil` is the one place that knows how:
+:func:`~repro.ioutil.atomic_write` (sibling temp file + fsync +
+``os.replace`` + directory fsync) for whole files, and
+:class:`~repro.ioutil.RecordLog` (CRC-stamped, fsynced appends with
+tail repair) for append-only logs.  A bare ``open(path, "w")`` or
+``open(path, "ab")`` in these modules is a torn file waiting for the
+wrong moment.
 
 The static approximation: inside the scoped modules, flag
 
-* ``open(...)`` / ``os.fdopen(...)`` whose mode constant starts with
-  ``"w"`` or ``"x"`` (truncate-and-rewrite — the crash-unsafe shape),
+* ``open(...)`` / ``os.fdopen(...)`` / ``io.open(...)`` whose mode
+  constant writes — contains ``"w"``, ``"x"``, ``"a"`` or ``"+"`` —
   whether positional or ``mode=``;
 * ``.write_text(...)`` / ``.write_bytes(...)`` calls (pathlib's
   equivalent whole-file rewrite).
 
-Append (``"a"``) and read-modify (``"r+"``) modes are deliberately
-allowed: the JSONL result store appends with per-record fsync and
-repairs its tail on load, which is a different (and valid) durability
-protocol.  A write that is genuinely safe without atomicity can carry
+A write that is genuinely safe without these protocols can carry
 ``# lb: noqa[LB106]`` with a justifying comment, or a baseline entry.
 """
 
@@ -43,13 +44,13 @@ def _mode_argument(node, position):
     return None
 
 
-def _is_truncating_mode(mode_node):
-    """True when the mode is a string constant starting ``w`` or ``x``."""
+def _is_writing_mode(mode_node):
+    """True when the mode is a string constant that opens for writing."""
     if not isinstance(mode_node, ast.Constant):
         return False
     if not isinstance(mode_node.value, str):
         return False
-    return mode_node.value.startswith(("w", "x"))
+    return any(flag in mode_node.value for flag in "wxa+")
 
 
 @register
@@ -57,13 +58,13 @@ class DurableWritesRule(Rule):
     id = "LB106"
     name = "durable-writes"
     description = (
-        "truncating file write in a persistence module bypasses "
-        "repro.ioutil.atomic_write (torn file on crash)"
+        "file write in a persistence module bypasses repro.ioutil "
+        "(torn file on crash)"
     )
 
     def check(self, source):
         if not (
-            source.in_package("repro.experiments")
+            source.in_package("repro.experiments", "repro.service")
             or source.module == "repro.sim.snapshot"
         ):
             return
@@ -73,14 +74,13 @@ class DurableWritesRule(Rule):
             name = call_name(node)
             if name in _OPEN_CALLS:
                 mode = _mode_argument(node, _OPEN_CALLS[name])
-                if _is_truncating_mode(mode):
+                if _is_writing_mode(mode):
                     yield source.finding(
                         self.id, node,
-                        "{}(..., {!r}) truncates in place — a crash "
+                        "{}(..., {!r}) writes in place — a crash "
                         "mid-write leaves a torn file; route the write "
-                        "through repro.ioutil.atomic_write".format(
-                            name, mode.value
-                        ),
+                        "through repro.ioutil (atomic_write or "
+                        "RecordLog)".format(name, mode.value),
                     )
             elif (
                 isinstance(node.func, ast.Attribute)

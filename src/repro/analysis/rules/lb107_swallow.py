@@ -13,7 +13,8 @@ conventions make the legitimate cases cheap to mark:
   swallows is flagged only when the handler carries **no comment at
   all** — the repo's idiom is ``pass  # why this is safe`` and a
   one-line justification is exactly the bar (see
-  ``repro.ioutil.atomic_write`` or the WAL's best-effort repair path).
+  ``repro.ioutil.atomic_write`` or the record log's best-effort tail
+  repair, ``repro.ioutil.RecordLog._truncate_to``).
 
 A docstring-style string constant does not count as handling (it is
 still a swallow) but a comment anywhere on the handler's lines — the

@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 
-from repro.ioutil import atomic_write
+from repro.ioutil import atomic_write, canonical_json
 
 # Bump whenever experiment code changes in a way that alters results
 # (new metrics, RNG stream changes, workload fixes).  Old entries then
@@ -37,17 +37,6 @@ from repro.ioutil import atomic_write
 SCHEMA_VERSION = 1
 
 _ENVELOPE_KIND = "lotterybus-result-cache"
-
-
-def canonical_json(payload):
-    """The canonical serialized form hashed into cache keys.
-
-    Sorted keys, no whitespace, explicit unicode — byte-stable across
-    Python versions and hosts for JSON-representable payloads.
-    """
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
 
 
 def cache_key(experiment, config, seed, schema_version=SCHEMA_VERSION):

@@ -71,21 +71,15 @@ function over a list of argument tuples and get results back in
 submission order.
 """
 
-import json
 import multiprocessing
 import os
 import signal
 import threading
 import time
-import zlib
 from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 
-from repro.experiments.cache import (
-    ResultCache,
-    canonical_json,
-    experiment_key,
-)
+from repro.experiments.cache import ResultCache, experiment_key
 from repro.experiments.errors import (
     CampaignDrained,
     CampaignError,
@@ -96,6 +90,7 @@ from repro.experiments.errors import (
     WorkerCrashError,
 )
 from repro.experiments.runner import experiment_names, run_experiment
+from repro.ioutil import RecordLog
 
 
 def default_jobs():
@@ -141,23 +136,17 @@ class TaskOutcome:
         }
 
 
-class ResultStore:
-    """Append-only JSONL store of per-task outcomes.
+class ResultStore(RecordLog):
+    """Append-only JSONL store of per-task outcomes: a prefix-recovery
+    :class:`~repro.ioutil.RecordLog`.
 
-    Appends are flushed and fsynced so a completed task survives any
-    later crash, and every record carries a CRC32 of its canonical form
-    so corruption (a flipped byte, not just a torn tail) is *detected*
-    rather than silently resumed from.
-
-    :meth:`load` is crash-consistent: the store is read as the longest
-    valid prefix of records.  A torn trailing line (the one write a
-    SIGKILL can interrupt) or a corrupt record ends the prefix — the
-    file is truncated back to the last valid record (so later appends
-    cannot concatenate onto torn bytes), the loss is surfaced through
-    ``recovered_records`` / ``recovered_bytes``, and the affected tasks
-    simply rerun.  Corruption never raises out of :meth:`load`; only an
-    unreadable-but-present file (permissions, I/O error) raises
-    :class:`~repro.experiments.errors.StoreCorruptionError`.
+    Every appended record is durable and CRC-stamped, so corruption (a
+    flipped byte, not just a torn tail) is *detected* rather than
+    silently resumed from.  :meth:`load` reads the longest valid prefix:
+    a torn or corrupt record ends it, the tail is truncated off the file
+    and counted in ``recovered_records`` / ``recovered_bytes``, and the
+    affected tasks simply rerun.  Only an unreadable-but-present file
+    raises, as :class:`~repro.experiments.errors.StoreCorruptionError`.
 
     :param chaos: optional :class:`repro.chaos.ChaosInjector`; when
         given, appends may be deliberately torn or rejected with
@@ -165,10 +154,10 @@ class ResultStore:
     """
 
     def __init__(self, path, chaos=None):
-        self.path = path
-        self.chaos = chaos
-        self.recovered_records = 0  # records dropped by the last load()
-        self.recovered_bytes = 0  # bytes truncated by the last load()
+        super().__init__(
+            path, "prefix",
+            None if chaos is None else chaos.mangle_store_append,
+        )
 
     def load(self, repair=True):
         """{name: record} for every successfully recorded task.
@@ -177,123 +166,18 @@ class ResultStore:
         physically truncated off the file; ``repair=False`` only skips
         it for this load.
         """
-        self.recovered_records = 0
-        self.recovered_bytes = 0
-        completed = {}
         try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return completed
+            records = self.read(repair)
         except OSError as error:
             raise StoreCorruptionError(
                 "cannot read result store {}: {}".format(self.path, error)
             )
-        records, valid_end = self._valid_prefix(raw)
-        dropped = raw[valid_end:]
-        if dropped:
-            self.recovered_bytes = len(dropped)
-            self.recovered_records = sum(
-                1 for line in dropped.split(b"\n") if line.strip()
-            )
-            if repair:
-                self._truncate_to(valid_end)
-        for record in records:
-            if (
-                record.get("status") == "done"
-                and isinstance(record.get("name"), str)
-            ):
-                completed[record["name"]] = record
-        return completed
-
-    def _valid_prefix(self, raw):
-        """Parse the longest valid record prefix of the raw bytes.
-
-        Returns ``(records, end_offset)`` where ``end_offset`` is the
-        byte offset just past the last valid record — the truncation
-        point that recovery rewinds the file to.
-        """
-        records = []
-        valid_end = 0
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline == -1:
-                line, end = raw[offset:], len(raw)
-            else:
-                line, end = raw[offset:newline], newline + 1
-            line = line.strip()
-            if line:
-                record = self._parse_record(line)
-                if record is None:
-                    break
-                records.append(record)
-            valid_end = end
-            offset = end
-        return records, valid_end
-
-    @staticmethod
-    def _parse_record(line):
-        """One validated record, or ``None`` for torn/corrupt bytes."""
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None  # torn/corrupt line: it ends the valid prefix
-        if not isinstance(record, dict):
-            return None
-        crc = record.pop("_crc", None)
-        if not isinstance(crc, int):
-            return None
-        payload = canonical_json(record).encode("utf-8")
-        if zlib.crc32(payload) != crc:
-            return None
-        return record
-
-    def _truncate_to(self, size):
-        try:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(size)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:
-            pass  # repair is best-effort; load already skipped the tail
-
-    def append(self, record):
-        """Append one record (flushed, fsynced, CRC-stamped).
-
-        If a previous append was torn (file does not end in a newline —
-        a crash mid-write), a newline is inserted first so the new
-        record can never be glued onto torn bytes and lost with them.
-        """
-        record = dict(record)
-        record.pop("_crc", None)
-        record["_crc"] = zlib.crc32(canonical_json(record).encode("utf-8"))
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        if self.chaos is not None:
-            data = self.chaos.mangle_store_append(data)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            if handle.tell() > 0 and not self._ends_with_newline():
-                handle.write(b"\n")
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def _ends_with_newline(self):
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) == b"\n"
-        except OSError:
-            return True
-
-    def clear(self):
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass  # a missing store is already "cleared"
+        return {
+            record["name"]: record
+            for record in records
+            if record.get("status") == "done"
+            and isinstance(record.get("name"), str)
+        }
 
 
 class TaskSpec:

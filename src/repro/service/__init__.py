@@ -8,11 +8,10 @@ warm content-addressed cache:
 * :mod:`repro.service.models` — experiment/sweep submission specs with
   strict validation and a typed :class:`~repro.service.models.ServiceError`
   taxonomy that maps one-to-one onto HTTP statuses;
-* :mod:`repro.service.wal` — the append-only, CRC32-stamped
-  write-ahead log every job state transition goes through *before* the
-  in-memory queue changes, so a ``kill -9`` at any byte offset recovers
-  by per-record CRC-validated replay (torn tail truncated, interior
-  damage skipped and counted) with no lost or duplicated jobs;
+* :mod:`repro.service.wal` — the write-ahead log (a
+  :class:`repro.ioutil.RecordLog`) every job state transition goes
+  through *before* the in-memory queue changes, so a ``kill -9`` at any
+  byte offset loses no job and duplicates none;
 * :mod:`repro.service.queue` — the WAL-backed job state machine
   (``submitted → leased → running → done/failed/quarantined``) with
   idempotency keys, a bounded queue and admission control;

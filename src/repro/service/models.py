@@ -19,8 +19,9 @@ truth.
 
 import math
 
-from repro.experiments.cache import canonical_json, experiment_key
+from repro.experiments.cache import experiment_key
 from repro.experiments.runner import experiment_names
+from repro.ioutil import canonical_json
 
 #: Hard ceiling on one sweep submission; a bigger sweep must be split
 #: by the client so admission control can meter it.

@@ -1,37 +1,23 @@
-"""The job queue's write-ahead log: append-only, CRC-stamped, replayable.
+"""The job queue's write-ahead log: a skip-recovery record log.
 
 Every state transition the queue makes — submit, lease, run, done,
 fail, quarantine, cancel, requeue — is appended here *before* the
-in-memory table changes, using the same crash-consistent record framing
-as the campaign :class:`~repro.experiments.supervisor.ResultStore`
-(PR 6): one canonical-JSON object per line, ``_crc`` stamped with the
-CRC32 of the record's canonical form, flushed and fsynced per append.
+in-memory table changes.  The framing, fsync and crash repair are
+:class:`repro.ioutil.RecordLog`'s; this module adds the journal's one
+domain rule, the set of legal ops.
 
-Recovery validates **every line independently**.  A ``kill -9`` can
-land between any two syscalls of an append, so :meth:`JobWAL.replay`
-walks the journal line by line: valid CRC-stamped records replay, torn
-or corrupt lines are skipped *and counted*, and the invalid tail after
-the last valid record is physically truncated (so later appends can
-never be glued onto torn bytes).  Skipping interior junk — rather than
-stopping at it — matters: the newline self-heal in :meth:`append`
-guarantees each record owns its line, so a record torn by a fault
+Recovery uses the ``"skip"`` policy: a torn or corrupt line is skipped
+and counted rather than ending the replay.  The append's newline
+self-heal gives each record its own line, so a record torn by a fault
 injector mid-campaign must not orphan the durable, acknowledged records
 appended after it.  Because the record for a transition is durable
 before the transition is acknowledged, replay can only ever *lose the
 acknowledgement*, never fabricate one: a job is either fully admitted
 (its ``submit`` record survived) or was never admitted at all — no lost
 jobs, no duplicated jobs.
-
-The chaos seam mirrors the result store's: an injector may tear or
-reject appends so the fuzz suites and the chaos service phase prove the
-recovery path on every byte offset.
 """
 
-import json
-import os
-import zlib
-
-from repro.experiments.cache import canonical_json
+from repro.ioutil import RecordLog
 
 #: Every legal ``op`` field; replay rejects records claiming others so
 #: a bit flip that survives CRC (it cannot) or a version skew surfaces
@@ -47,51 +33,32 @@ WAL_OPS = (
 )
 
 
-class JobWAL:
-    """Append-only CRC32-stamped JSONL journal of queue transitions.
+class JobWAL(RecordLog):
+    """Append-only journal of queue transitions.
 
     :param path: journal file (created on first append).
-    :param chaos: optional :class:`repro.chaos.ChaosInjector`; when
-        given, appends may be torn or rejected with ``ENOSPC`` exactly
-        like result-store appends, so the chaos harness exercises WAL
-        recovery too.
+    :param chaos: optional :class:`repro.chaos.ChaosInjector`; appends
+        may be torn or rejected with ``ENOSPC`` so the chaos harness
+        exercises WAL recovery too.
     """
 
     def __init__(self, path, chaos=None):
-        self.path = path
-        self.chaos = chaos
+        super().__init__(
+            path, "skip",
+            None if chaos is None else chaos.mangle_store_append,
+        )
         self.appended = 0  # records appended by this instance
-        self.recovered_records = 0  # tail records dropped by last replay()
-        self.recovered_bytes = 0  # bytes truncated by the last replay()
-        self.skipped_records = 0  # interior invalid lines skipped
 
-    # -- append (the write-ahead half) ----------------------------------
+    def _accepts(self, record):
+        return record.get("op") in WAL_OPS
 
     def append(self, record):
         """Durably append one transition record; returns the record.
 
-        The record is CRC-stamped over its canonical JSON form, written
-        with a trailing newline, flushed and fsynced.  If a previous
-        append was torn (no trailing newline), a newline is inserted
-        first so this record can never be concatenated onto torn bytes
-        and lost with them.  Raises ``OSError`` on failure — the caller
-        must *not* apply the transition in memory in that case.
+        Raises ``OSError`` on failure — the caller must *not* apply the
+        transition in memory in that case.
         """
-        record = dict(record)
-        record.pop("_crc", None)
-        record["_crc"] = zlib.crc32(canonical_json(record).encode("utf-8"))
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        if self.chaos is not None:
-            data = self.chaos.mangle_store_append(data)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "ab") as handle:
-            if handle.tell() > 0 and not self._ends_with_newline():
-                handle.write(b"\n")
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
+        record = super().append(record)
         # Single writer: every append happens under JobQueue._lock (the
         # WAL is the queue's journal), which the flow engine cannot see
         # across the untyped constructor param.  The /stats read is a
@@ -99,107 +66,10 @@ class JobWAL:
         self.appended += 1  # lb: noqa[LB201]
         return record
 
-    def _ends_with_newline(self):
-        try:
-            with open(self.path, "rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                return handle.read(1) == b"\n"
-        except OSError:
-            # Unreadable tail: treat as clean and let the append land on
-            # its own line; replay's CRC check still guards the result.
-            return True
-
-    # -- replay (the recovery half) --------------------------------------
-
     def replay(self, repair=True):
-        """Every valid transition record, in append order.
-
-        Never raises for corruption: each line validates independently
-        (JSON + CRC32 + known op), torn or corrupt interior lines are
-        skipped and counted in ``skipped_records``, and the invalid
-        *tail* after the last valid record is counted in
-        ``recovered_records``/``recovered_bytes`` and — with
-        ``repair=True`` (the default) — physically truncated off the
-        file so subsequent appends start from a clean boundary.  Only a
-        present-but-unreadable file (permissions, I/O error) raises
-        ``OSError``.
-        """
-        self.recovered_records = 0
-        self.recovered_bytes = 0
-        self.skipped_records = 0
-        try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
-            return []
-        records, valid_end, tail_invalid = self._scan(raw)
-        if valid_end < len(raw):
-            self.recovered_bytes = len(raw) - valid_end
-            self.recovered_records = tail_invalid
-            if repair:
-                self._truncate_to(valid_end)
-        return records
-
-    def _scan(self, raw):
-        """``(records, end-of-last-valid-record, invalid-tail-lines)``."""
-        records = []
-        valid_end = 0
-        invalid_since_valid = 0
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline == -1:
-                line, end = raw[offset:], len(raw)
-            else:
-                line, end = raw[offset:newline], newline + 1
-            stripped = line.strip()
-            if stripped:
-                record = self._parse_record(stripped)
-                if record is None:
-                    invalid_since_valid += 1
-                else:
-                    records.append(record)
-                    self.skipped_records += invalid_since_valid
-                    invalid_since_valid = 0
-                    valid_end = end
-            elif not invalid_since_valid:
-                valid_end = end  # blank line: harmless padding
-            offset = end
-        return records, valid_end, invalid_since_valid
-
-    @staticmethod
-    def _parse_record(line):
-        """One validated transition, or ``None`` for torn/corrupt bytes."""
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None  # torn/corrupt line: it ends the valid prefix
-        if not isinstance(record, dict):
-            return None
-        crc = record.pop("_crc", None)
-        if not isinstance(crc, int):
-            return None
-        payload = canonical_json(record).encode("utf-8")
-        if zlib.crc32(payload) != crc:
-            return None
-        if record.get("op") not in WAL_OPS:
-            return None
-        return record
-
-    def _truncate_to(self, size):
-        try:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(size)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:
-            pass  # repair is best-effort; replay already skipped the tail
-
-    def clear(self):
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass  # a missing journal is already "cleared"
+        """Every valid transition record, in append order (see
+        :meth:`~repro.ioutil.RecordLog.read`)."""
+        return self.read(repair)
 
     def __repr__(self):
         return "JobWAL({!r}, appended={})".format(self.path, self.appended)

@@ -1,5 +1,5 @@
 # lb: module=repro.experiments.fixture_bad
-"""LB106 true positives: truncating writes in a persistence module."""
+"""LB106 true positives: in-place writes in a persistence module."""
 
 import io
 import json
@@ -39,3 +39,17 @@ def save_via_pathlib(path, report):
 
 def save_bytes_via_pathlib(path, payload):
     pathlib.Path(path).write_bytes(payload)
+
+
+def append_record(path, record):
+    # A hand-rolled JSONL append: repro.ioutil.RecordLog owns this.
+    with open(path, "ab") as handle:
+        handle.write(json.dumps(record).encode("utf-8") + b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def repair_tail(path, size):
+    # A hand-rolled tail repair: RecordLog.read truncates torn tails.
+    with open(path, "r+b") as handle:
+        handle.truncate(size)

@@ -1,9 +1,5 @@
 # lb: module=repro.experiments.fixture_good
-"""LB106 true negatives: durable, append-mode, read-only and scoped-out
-writes."""
-
-import json
-import os
+"""LB106 true negatives: durable, read-only and excused writes."""
 
 from repro.ioutil import atomic_write
 
@@ -12,24 +8,9 @@ def save_report(path, report):
     atomic_write(path, report)
 
 
-def append_record(path, record):
-    # Append + fsync is the JSONL store's own durability protocol —
-    # deliberately not flagged.
-    with open(path, "ab") as handle:
-        handle.write(json.dumps(record).encode("utf-8") + b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
 def load_report(path):
     with open(path, "r") as handle:
         return handle.read()
-
-
-def repair_tail(path, size):
-    # Read-modify ("r+b") truncation repair, not a whole-file rewrite.
-    with open(path, "r+b") as handle:
-        handle.truncate(size)
 
 
 def dynamic_mode(path, payload, mode):

@@ -10,9 +10,9 @@ from repro.experiments.cache import (
     CacheStats,
     ResultCache,
     cache_key,
-    canonical_json,
     experiment_key,
 )
+from repro.ioutil import canonical_json
 
 
 # -- keys -----------------------------------------------------------------

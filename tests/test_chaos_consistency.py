@@ -1,13 +1,11 @@
-"""Exhaustive corruption fuzzing of every persistent artifact.
+"""Exhaustive corruption fuzzing of the whole-file artifacts.
 
-For each durable format — the campaign's JSONL result store, the
-content-addressed cache envelope, and the framed checkpoint container —
-this suite truncates the file at *every* byte offset and flips *every*
-byte, then asserts the invariant each format promises:
+For each atomically written format — the content-addressed cache
+envelope and the framed checkpoint container — this suite truncates
+the file at *every* byte offset and flips *every* byte, then asserts
+the invariant each format promises (the append-only record logs have
+their own harness in ``test_record_log.py``):
 
-* ResultStore: :meth:`load` never raises and never returns a record
-  that was not appended; corruption costs a suffix of the history, and
-  after repair a reload recovers zero bytes.
 * ResultCache: :meth:`get` returns the exact stored record or ``None``
   — never a silently different record.
 * Checkpoint container: :func:`read_checkpoint` raises
@@ -24,89 +22,7 @@ from repro.experiments.checkpoint import (
     _RESULT_KIND,
     ExperimentCheckpointer,
 )
-from repro.experiments.supervisor import ResultStore
 from repro.sim.snapshot import CheckpointError, read_checkpoint, write_checkpoint
-
-RECORDS = [
-    {"name": "table1", "status": "done", "report": "r1", "seed": 1},
-    {"name": "table2", "status": "done", "report": "r2", "seed": 2},
-    {"name": "fig9", "status": "done", "report": "r9", "seed": 3},
-]
-
-
-def _store_bytes(tmp_path):
-    path = str(tmp_path / "results.jsonl")
-    store = ResultStore(path)
-    for record in RECORDS:
-        store.append(dict(record))
-    return path, open(path, "rb").read()
-
-
-def _record_ends(raw):
-    """Byte offsets just past each newline-terminated record."""
-    ends, offset = [], 0
-    while True:
-        newline = raw.find(b"\n", offset)
-        if newline == -1:
-            return ends
-        ends.append(newline + 1)
-        offset = newline + 1
-
-
-# -- ResultStore ----------------------------------------------------------
-
-
-def test_store_truncation_at_every_offset_keeps_exact_prefix(tmp_path):
-    path, raw = _store_bytes(tmp_path)
-    ends = _record_ends(raw)
-    assert len(ends) == len(RECORDS)
-    for cut in range(len(raw) + 1):
-        with open(path, "wb") as handle:
-            handle.write(raw[:cut])
-        store = ResultStore(path)
-        loaded = store.load()
-        # A record survives once all its bytes are present; the cut at
-        # ``end - 1`` removes only the trailing newline, which the
-        # store accepts (and self-heals on the next append).
-        survivors = sum(1 for end in ends if cut >= end - 1)
-        assert list(loaded) == [r["name"] for r in RECORDS[:survivors]], cut
-        for record in RECORDS[:survivors]:
-            assert loaded[record["name"]] == record
-        # Repair truncated the torn tail off the file: a second load
-        # sees a fully valid store and recovers nothing.
-        again = ResultStore(path)
-        assert again.load() == loaded
-        assert again.recovered_bytes == 0
-        assert again.recovered_records == 0
-
-
-def test_store_byte_flip_at_every_offset_never_fabricates(tmp_path):
-    path, raw = _store_bytes(tmp_path)
-    originals = {r["name"]: r for r in RECORDS}
-    order = [r["name"] for r in RECORDS]
-    for offset in range(len(raw)):
-        mutated = bytearray(raw)
-        mutated[offset] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(bytes(mutated))
-        loaded = ResultStore(path).load(repair=False)
-        # Whatever survives is a clean prefix of what was written —
-        # never a record with silently altered contents.
-        assert list(loaded) == order[: len(loaded)], offset
-        for name, record in loaded.items():
-            assert record == originals[name], offset
-
-
-def test_store_flip_in_last_record_loses_only_that_record(tmp_path):
-    path, raw = _store_bytes(tmp_path)
-    ends = _record_ends(raw)
-    for offset in range(ends[-2], len(raw) - 1):
-        mutated = bytearray(raw)
-        mutated[offset] ^= 0xFF
-        with open(path, "wb") as handle:
-            handle.write(bytes(mutated))
-        loaded = ResultStore(path).load(repair=False)
-        assert list(loaded) == ["table1", "table2"], offset
 
 
 # -- ResultCache ----------------------------------------------------------

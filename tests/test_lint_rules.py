@@ -99,7 +99,9 @@ def test_lb106_bad_fixture_catches_truncating_writes():
     assert "io.open(..., 'w')" in messages
     assert ".write_text()" in messages
     assert ".write_bytes()" in messages
-    assert len(findings) == 7
+    assert "open(..., 'ab')" in messages
+    assert "open(..., 'r+b')" in messages
+    assert len(findings) == 9
 
 
 def test_lb107_bad_fixture_catches_swallowed_exceptions():
@@ -221,7 +223,9 @@ def test_lb106_scopes_to_persistence_modules():
     source = 'def save(path, text):\n    open(path, "w").write(text)\n'
     assert lint_source(source, module="repro.sim.kernel") == []
     assert lint_source(source, module="repro.cli") == []
-    for module in ("repro.experiments.cache", "repro.sim.snapshot"):
+    for module in (
+        "repro.experiments.cache", "repro.sim.snapshot", "repro.service.wal",
+    ):
         findings = lint_source(source, module=module)
         assert [f.rule for f in findings] == ["LB106"]
 

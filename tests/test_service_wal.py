@@ -1,10 +1,10 @@
-"""WAL crash-consistency: every byte offset, every bit, every torn tail.
+"""The WAL's own rules: legal ops, skipped interior junk, torn tails.
 
-The write-ahead log is the service's whole durability story, so the
-tests are exhaustive rather than illustrative: a journal truncated at
-*every possible byte offset* must recover the longest valid prefix, a
-bit flip at any position must invalidate exactly the record it lands
-in, and appends after a torn tail must never be glued onto garbage.
+The byte-offset truncation and bit-flip fuzzing shared with the result
+store lives in ``test_record_log.py``; these tests pin what only the
+journal promises: unknown ops are refused, interior junk is skipped
+and counted without orphaning later records, and appends after a torn
+tail are never glued onto garbage.
 """
 
 import json
@@ -13,7 +13,7 @@ import zlib
 
 import pytest
 
-from repro.experiments.cache import canonical_json
+from repro.ioutil import canonical_json
 from repro.service.wal import WAL_OPS, JobWAL
 
 
@@ -51,30 +51,6 @@ def test_replay_missing_file_is_empty(tmp_path):
     assert wal.recovered_bytes == 0
 
 
-def test_truncation_at_every_byte_offset_recovers_valid_prefix(tmp_path):
-    wal = wal_at(tmp_path)
-    records = sample_records()
-    boundaries = [0]
-    for record in records:
-        wal.append(record)
-        boundaries.append(os.path.getsize(wal.path))
-    raw = open(wal.path, "rb").read()
-
-    for cut in range(len(raw) + 1):
-        path = os.path.join(str(tmp_path), "cut.wal")
-        with open(path, "wb") as handle:
-            handle.write(raw[:cut])
-        replayed = JobWAL(path).replay()
-        # Exactly the records whose JSON bytes are wholly before the
-        # cut survive (losing only the trailing newline is harmless) —
-        # never a partial record, never a lost complete one.
-        expected = sum(1 for b in boundaries[1:] if b - 1 <= cut)
-        assert len(replayed) == expected, "cut at byte {}".format(cut)
-        assert [r["job"] for r in replayed] == [
-            r["job"] for r in records[:expected]
-        ]
-
-
 def test_truncation_repair_physically_removes_torn_tail(tmp_path):
     wal = wal_at(tmp_path)
     for record in sample_records(3):
@@ -90,43 +66,6 @@ def test_truncation_repair_physically_removes_torn_tail(tmp_path):
     # A fresh append lands cleanly after the repair.
     reader.append({"op": "done", "job": "j-00000099", "seq": 99})
     assert len(JobWAL(wal.path).replay()) == 4
-
-
-def test_bit_flip_fuzz_invalidates_from_the_flipped_record(tmp_path):
-    wal = wal_at(tmp_path)
-    records = sample_records(4)
-    boundaries = [0]
-    for record in records:
-        wal.append(record)
-        boundaries.append(os.path.getsize(wal.path))
-    raw = bytearray(open(wal.path, "rb").read())
-
-    # Flip one bit at a spread of positions (every 3rd byte, three bit
-    # planes: fast, yet covers every record and every field kind).  The
-    # flip must invalidate exactly the record it lands in — every other
-    # record still replays, and a mutated record is never trusted.
-    for position in range(0, len(raw), 3):
-        damaged = {
-            i for i, b in enumerate(boundaries[1:])
-            if boundaries[i] <= position < b
-        }
-        if position in {b - 1 for b in boundaries[1:]}:
-            # Flipping a record's newline merges it with the next line,
-            # invalidating both.
-            damaged |= {min(damaged) + 1} & set(range(len(records)))
-        expected = [
-            r["job"] for i, r in enumerate(records) if i not in damaged
-        ]
-        for bit in (0, 3, 7):
-            mutated = bytearray(raw)
-            mutated[position] ^= 1 << bit
-            path = os.path.join(str(tmp_path), "flip.wal")
-            with open(path, "wb") as handle:
-                handle.write(bytes(mutated))
-            replayed = JobWAL(path).replay(repair=False)
-            assert [r["job"] for r in replayed] == expected, (
-                "flip at byte {} bit {}".format(position, bit)
-            )
 
 
 def test_unknown_op_is_rejected_even_with_valid_crc(tmp_path):
