@@ -15,7 +15,7 @@ The checked-in :data:`repro.analytic.bounds.ERROR_BOUNDS` were
 calibrated from this driver at the pinned
 :data:`~repro.analytic.bounds.CALIBRATION` settings (margin over the
 worst observed error across seeds); the table-driven regression tests
-and ``python -m repro.bench --analytic`` re-run it and fail on any
+and ``python -m repro.bench analytic`` re-run it and fail on any
 bound violation.
 
 Run directly to recalibrate after a model change::

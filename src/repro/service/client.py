@@ -1,6 +1,6 @@
 """Stdlib (urllib) client for the DSE service.
 
-Used by the chaos harness's service phase, the ``--service`` benchmark
+Used by the chaos harness's service phase, the ``service`` benchmark
 leg and the integration tests — none of which may depend on ``httpx``
 or ``requests``.  Every call returns ``(status, body)`` with the JSON
 body already decoded; HTTP error statuses are *returns*, not raises

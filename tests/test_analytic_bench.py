@@ -1,9 +1,7 @@
-"""The --analytic benchmark leg: report shape and the bound-violation
-gate, with the expensive validation/simulation legs stubbed out."""
+"""The analytic benchmark leg: report shape and the bound-violation
+gate, with the expensive validation and simulation runs stubbed out."""
 
 import json
-
-import pytest
 
 from repro import bench
 
@@ -44,15 +42,15 @@ def _stub_legs(monkeypatch, ok):
 
 def test_quick_analytic_benchmark_reports_and_passes(monkeypatch):
     _stub_legs(monkeypatch, ok=True)
-    results = bench.run_analytic_benchmark(quick=True, repeats=1)
-    assert results["all_identical"]
-    assert results["validation"]["ok"]
+    results = bench.run_leg("analytic", quick=True, repeats=1)
+    assert results["ok"]
+    # Quick runs report the speedup; only full runs gate it.
+    assert results["gates"] == {"within_error_bounds": True}
     assert results["validation"]["violations"] == []
     assert results["surrogate"]["configs"] > 0
     assert results["surrogate"]["per_config_microseconds"] > 0
     assert results["simulator"]["cycles_per_config"] == 50_000
     assert results["speedup_target"] == 1000.0
-    assert not results["speedup_gated"]  # quick reports, full gates
 
 
 def test_bound_violation_fails_the_benchmark(monkeypatch, tmp_path,
@@ -60,18 +58,13 @@ def test_bound_violation_fails_the_benchmark(monkeypatch, tmp_path,
     _stub_legs(monkeypatch, ok=False)
     output = tmp_path / "BENCH_analytic.json"
     assert bench.main(
-        ["--analytic", "--quick", "--repeats", "1",
-         "--analytic-output", str(output)]
+        ["analytic", "--quick", "--repeats", "1", "--output", str(output)]
     ) == 1
-    err = capsys.readouterr().err
-    assert "FAIL" in err and "error" in err
+    assert "within_error_bounds" in capsys.readouterr().err
     written = json.loads(output.read_text())
-    assert not written["all_identical"]
+    assert written["gates"] == {"within_error_bounds": False}
+    assert not written["ok"]
     assert written["validation"]["violations"] == [
         "lottery-static/T8"
     ]
 
-
-def test_analytic_excludes_other_benchmark_modes():
-    with pytest.raises(SystemExit):
-        bench.main(["--analytic", "--batch"])

@@ -1,0 +1,99 @@
+"""The ``repro.bench`` leg harness: repeat fingerprinting, the report
+header, gates, output path and CLI, on fake legs and shrunken real ones."""
+
+import json
+import time
+
+import pytest
+
+from repro import bench
+
+
+def _fake_leg(passed):
+    def leg(quick, repeats):
+        sections = {
+            "count": 3,
+            "timed": {"wall_seconds": 0.5},
+            "rows": [{"name": "a"}, {"name": "b"}],
+        }
+        return sections, {"fake_gate": passed, "other_gate": True}
+
+    return leg
+
+
+def test_best_of_raises_when_a_repeat_changes_its_fingerprint():
+    answers = iter([1, 1, 2])
+    with pytest.raises(AssertionError, match="non-deterministic"):
+        bench._best_of(lambda: next(answers), 3)
+
+
+def test_default_output_is_the_legs_bench_json(monkeypatch, tmp_path,
+                                               capsys):
+    monkeypatch.setitem(bench.LEGS, "fake", _fake_leg(True))
+    monkeypatch.chdir(tmp_path)
+    assert bench.main(["fake", "--quick", "--repeats", "2"]) == 0
+    report = json.loads(
+        (tmp_path / "benchmarks" / "perf" / "BENCH_fake.json").read_text()
+    )
+    assert report["benchmark"] == "repro.bench fake"
+    assert report["quick"] is True and report["repeats"] == 2
+    assert report["platform"]["machine"]
+    assert report["gates"] == {"fake_gate": True, "other_gate": True}
+    assert report["ok"] is True
+    out = capsys.readouterr().out
+    assert "count=3" in out
+    assert "timed: wall_seconds=0.5" in out
+    assert "name=a" in out and "name=b" in out
+
+
+def test_failed_gate_exits_1_and_is_named_on_stderr(monkeypatch, tmp_path,
+                                                     capsys):
+    monkeypatch.setitem(bench.LEGS, "fake", _fake_leg(False))
+    output = tmp_path / "report.json"
+    assert bench.main(["fake", "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert "fake_gate" in err and "other_gate" not in err
+    assert json.loads(output.read_text())["ok"] is False
+
+
+def test_unknown_leg_exits_2():
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["bogus"])
+    assert exc.value.code == 2
+
+
+def test_kernel_leg_fast_equals_dense_on_short_runs(monkeypatch):
+    monkeypatch.setattr(bench, "SCENARIOS", tuple(
+        (name, runner, systems, 300, 300, description)
+        for name, runner, systems, _, _, description in bench.SCENARIOS
+    ))
+    report = bench.run_leg("kernel", quick=True, repeats=2)
+    assert report["ok"]
+    names = [entry["name"] for entry in report["scenarios"]]
+    assert sorted(report["gates"]) == sorted(
+        "{}_fast_equals_dense".format(name) for name in names
+    )
+    assert all(
+        entry["cycles_per_system"] == 300 and entry["speedup"] > 0
+        for entry in report["scenarios"]
+    )
+
+
+def test_lint_leg_missing_the_warm_target_fails_only_that_gate(
+        monkeypatch, tmp_path, capsys):
+    # Every run costs the same, so the warm run cannot be 5x faster.
+    def flat_cost_lint(paths, rules=None, jobs=0, cache=None):
+        time.sleep(0.005)
+        return []
+
+    monkeypatch.setattr("repro.analysis.core.lint_paths", flat_cost_lint)
+    output = tmp_path / "BENCH_lint.json"
+    assert bench.main(["lint", "--repeats", "1", "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert "warm_speedup_meets_target" in err
+    assert "equals_cold" not in err
+    assert json.loads(output.read_text())["gates"] == {
+        "warm_equals_cold": True,
+        "parallel_equals_cold": True,
+        "warm_speedup_meets_target": False,
+    }

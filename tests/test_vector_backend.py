@@ -105,10 +105,11 @@ def test_quick_batch_benchmark_is_identical():
 
     bench._batch_lane_specs = tiny_specs
     try:
-        results = bench.run_batch_benchmark(quick=True, repeats=1)
+        results = bench.run_leg("batch", quick=True, repeats=1)
     finally:
         bench._batch_lane_specs = original
-    assert results["all_identical"]
+    assert results["ok"]
+    assert results["gates"] == {"vector_equals_scalar": True}
     assert results["lanes"] == 12
     assert results["mismatched_lanes"] == []
     assert results["platform"]["machine"]
