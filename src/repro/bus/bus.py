@@ -113,10 +113,12 @@ class SharedBus(Component):
                         master.name, master.master_id, index
                     )
                 )
-        # Interfaces exposing the fault/retry machinery (serviced every
-        # cycle; plain duck-typed masters are left alone).
+        # Interfaces with a retry policy, serviced every cycle: without
+        # one, service() has no retries to release and no timeout to
+        # expire, so the call would be a no-op.
         self._serviced_masters = [
-            master for master in self.masters if hasattr(master, "service")
+            master for master in self.masters
+            if getattr(master, "retry_policy", None) is not None
         ]
 
     def add_completion_hook(self, hook, key=None):
@@ -163,6 +165,11 @@ class SharedBus(Component):
         self.metrics.reset()
         if hasattr(self.arbiter, "reset"):
             self.arbiter.reset()
+        # The bus is its masters' and slaves' snapshot root (see below),
+        # so it resets them too.
+        for part in self.masters + self.slaves:
+            if hasattr(part, "reset"):
+                part.reset()
 
     # -- checkpoint / restore (see repro.sim.snapshot) -------------------
     #
@@ -249,10 +256,13 @@ class SharedBus(Component):
         With split transactions, a head request parked on slave setup is
         invisible to arbitration until its ``parked_until`` cycle.
         """
+        if cycle is None or not self.split_transactions:
+            # Only split transactions ever park a request.
+            return [master.pending_words for master in self.masters]
         pending = []
         for master in self.masters:
             words = master.pending_words
-            if words and cycle is not None:
+            if words:
                 head = master.head()
                 if head.parked_until is not None and head.parked_until > cycle:
                     words = 0

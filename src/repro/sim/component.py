@@ -31,11 +31,29 @@ class Component(Snapshottable):
     guarantee that for every cycle in ``[cycle, next_activity(cycle))``
     their :meth:`tick` would have been a pure no-op except for the state
     replayed by :meth:`skip_quiet`.
+
+    **Sleep and wake.**  A component that knows its :meth:`tick` will be
+    a no-op until some outside event happens — a traffic generator
+    blocked on its master interface, say — may call :meth:`sleep`.  The
+    fast kernel then stops ticking it (and stops probing its
+    :meth:`next_activity`) until the owner of that event calls
+    :meth:`wake`, which clears the sleep.  So only a component that
+    some other object has promised to wake may sleep, and that object
+    must call :meth:`wake` on every event that could make the sleeper's
+    tick do work; a component with no such promise never sleeps.
+    ``dense`` mode ignores sleep and ticks everything, which keeps it
+    the reference; ``strict`` mode still ticks every sleeper and raises
+    :class:`~repro.sim.kernel.KernelDivergenceError` if a sleeping
+    tick changes the component's :meth:`state_dict`.  Sleep is
+    scheduling, not state: it is never part of :meth:`state_dict`, and
+    :meth:`~repro.sim.kernel.Simulator.reset` and snapshot restore
+    leave every component awake.
     """
 
     def __init__(self, name):
         self.name = name
         self._wake_pending = False
+        self._asleep = False
 
     def tick(self, cycle):
         """Advance the component by one clock cycle.
@@ -70,15 +88,27 @@ class Component(Snapshottable):
         whose quiescent ticks are pure no-ops.
         """
 
+    def sleep(self):
+        """Stop being ticked until the next :meth:`wake`.
+
+        A promise that every :meth:`tick` until then is a no-op (see
+        "Sleep and wake" above).  Only the ``fast`` kernel acts on it;
+        ``strict`` ticks sleepers to check the promise and ``dense``
+        ticks them anyway.
+        """
+        self._asleep = True
+
     def wake(self):
         """Request a tick at the next cycle boundary.
 
-        For externally triggered components: marks the component so the
-        fast path will not skip past the next cycle.  The flag is
-        consumed by the kernel; calling it outside a fast-mode run is
-        harmless.
+        For externally triggered components: clears any :meth:`sleep`
+        and marks the component so the fast path will not skip past the
+        next cycle.  The flag is consumed by the kernel; calling it
+        outside a fast-mode run is harmless.  Overrides must call
+        ``super().wake()``.
         """
         self._wake_pending = True
+        self._asleep = False
 
     def reset(self):
         """Return the component to its power-on state.

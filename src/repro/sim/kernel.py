@@ -41,9 +41,12 @@ class Simulator:
         jump; ``"dense"`` ticks every component every cycle; ``"strict"``
         takes the same jumps as ``"fast"`` but replays each one densely
         from a snapshot and raises :class:`KernelDivergenceError` unless
-        both paths land in bit-identical state.  All three modes produce
-        identical results for components honouring the contract — fast
-        mode is purely an optimisation.
+        both paths land in bit-identical state.  ``"fast"`` also leaves
+        asleep components (:meth:`~repro.sim.component.Component.sleep`)
+        unticked; ``"strict"`` ticks them and raises unless their state
+        stays put.  All three modes produce identical results for
+        components honouring the contract — fast mode is purely an
+        optimisation.
     """
 
     def __init__(self, mode="fast"):
@@ -105,6 +108,14 @@ class Simulator:
         self.skipped_cycles = 0
         for component in self._components:
             component.reset()
+        self._rouse()
+
+    def _rouse(self):
+        """Leave every component awake with no wake pending: after a
+        reset or restore the kernel probes each one afresh."""
+        for component in self._components:
+            component._asleep = False
+            component._wake_pending = False
 
     def run(self, cycles):
         """Advance the simulation by ``cycles`` cycles."""
@@ -133,6 +144,40 @@ class Simulator:
             for component in components:
                 component.tick(now)
             self.cycle = now + 1
+
+    def _run_awake(self, end):
+        """Tick every cycle up to ``end``, leaving asleep components out."""
+        components = self._components
+        self.ticked_cycles += end - self.cycle
+        while self.cycle < end:
+            now = self.cycle
+            for component in components:
+                if not component._asleep:
+                    component.tick(now)
+            self.cycle = now + 1
+
+    def _tick_checked(self, now):
+        """One strict-mode cycle: tick everything, and raise unless each
+        component that was asleep left its own state untouched."""
+        for component in self._components:
+            if not component._asleep:
+                component.tick(now)
+                continue
+            before = pickle.dumps(
+                component.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            component.tick(now)
+            after = pickle.dumps(
+                component.state_dict(), protocol=pickle.HIGHEST_PROTOCOL
+            )
+            if after != before:
+                raise KernelDivergenceError(
+                    "component {!r} changed state when ticked asleep at "
+                    "cycle {}; it slept while its tick still had work to "
+                    "do, or its waker missed an event".format(
+                        component.name, now
+                    )
+                )
 
     def _fastpath_plan(self):
         """Per-run plan for the fast path: ``(scan, skippers)``.
@@ -176,6 +221,8 @@ class Simulator:
             if component._wake_pending:
                 component._wake_pending = False
                 return now
+            if component._asleep:
+                continue  # idle until its waker calls wake()
             nxt = component.next_activity(now)
             if nxt is None:
                 continue
@@ -199,10 +246,9 @@ class Simulator:
     _MAX_SPRINT = 16
 
     def _run_fast(self, end):
-        components = self._components
         scan, skippers = self._fastpath_plan()
         if scan is None:
-            self._run_dense(end)
+            self._run_awake(end)
             return
         sprint = 1
         while self.cycle < end:
@@ -211,18 +257,13 @@ class Simulator:
             if horizon > now:
                 span = horizon - now
                 for component in skippers:
-                    component.skip_quiet(now, span)
+                    if not component._asleep:
+                        component.skip_quiet(now, span)
                 self.cycle = horizon
                 self.skipped_cycles += span
                 sprint = 1
                 continue
-            stop = min(end, now + sprint)
-            self.ticked_cycles += stop - now
-            while self.cycle < stop:
-                now = self.cycle
-                for component in components:
-                    component.tick(now)
-                self.cycle = now + 1
+            self._run_awake(min(end, now + sprint))
             if sprint < self._MAX_SPRINT:
                 sprint <<= 1
 
@@ -230,7 +271,10 @@ class Simulator:
         components = self._components
         scan, skippers = self._fastpath_plan()
         if scan is None:
-            self._run_dense(end)
+            while self.cycle < end:
+                self._tick_checked(self.cycle)
+                self.cycle += 1
+                self.ticked_cycles += 1
             return
         while self.cycle < end:
             now = self.cycle
@@ -241,7 +285,8 @@ class Simulator:
                     self._capture(), protocol=pickle.HIGHEST_PROTOCOL
                 )
                 for component in skippers:
-                    component.skip_quiet(now, span)
+                    if not component._asleep:
+                        component.skip_quiet(now, span)
                 skipped = pickle.dumps(
                     self._capture(), protocol=pickle.HIGHEST_PROTOCOL
                 )
@@ -264,8 +309,7 @@ class Simulator:
                 self.cycle = horizon
                 self.skipped_cycles += span
                 continue
-            for component in components:
-                component.tick(now)
+            self._tick_checked(now)
             self.cycle = now + 1
             self.ticked_cycles += 1
 
@@ -322,6 +366,7 @@ class Simulator:
         for component in self._components:
             component.load_state_dict(component_states[component.name])
         self.cycle = cycle
+        self._rouse()
 
     def load_state_dict(self, state):
         """Restore a snapshot produced by :meth:`state_dict`.

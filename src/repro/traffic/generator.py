@@ -31,6 +31,17 @@ class TrafficGenerator(Component):
     # extend these with their own RNG stream and pacing state.
     state_attrs = ("messages_emitted", "words_emitted")
 
+    def _wait_on_interface(self):
+        """Ask the interface to wake this generator whenever its queue
+        shrinks.  Returns False for an interface that cannot (a
+        duck-typed one without ``add_waiter``): such a generator must
+        never sleep."""
+        add_waiter = getattr(self.interface, "add_waiter", None)
+        if add_waiter is None:
+            return False
+        add_waiter(self)
+        return True
+
     def _emit(self, words, cycle):
         request = self.interface.submit(
             words, cycle, slave=self.slave, flow=self.flow
@@ -62,6 +73,7 @@ class SaturatingGenerator(TrafficGenerator):
         self.words = words
         self.depth = depth
         self._rng = RandomStream(seed, "saturating:" + name)
+        self._wakeable = self._wait_on_interface()
 
     state_children = ("_rng",)
 
@@ -70,8 +82,14 @@ class SaturatingGenerator(TrafficGenerator):
         self._rng.reset()
 
     def tick(self, cycle):
+        if self.interface.queue_depth >= self.depth:
+            return
         while self.interface.queue_depth < self.depth:
             self._emit(self.words.sample(self._rng), cycle)
+        if self._wakeable:
+            # Backlogged: nothing to do until the queue shrinks, and the
+            # interface wakes us when it does.
+            self.sleep()
 
     def next_activity(self, cycle):
         # Backlogged up to depth: nothing to do until the bus drains a
@@ -105,6 +123,7 @@ class ClosedLoopGenerator(TrafficGenerator):
         self.mean_think = mean_think
         self._rng = RandomStream(seed, "closedloop:" + name)
         self._think = 0
+        self._wakeable = self._wait_on_interface()
 
     state_attrs = ("_think",)
     state_children = ("_rng",)
@@ -128,6 +147,10 @@ class ClosedLoopGenerator(TrafficGenerator):
         self._emit(self.words.sample(self._rng), cycle)
         if self.mean_think > 0:
             self._think = self._rng.geometric(1.0 / self.mean_think)
+        if self._wakeable and self.interface.queue_depth > 0:
+            # Blocked on the bus: every tick is a no-op until the queue
+            # shrinks, and the interface wakes us when it does.
+            self.sleep()
 
     def next_activity(self, cycle):
         if self.interface.queue_depth > 0:
