@@ -26,11 +26,12 @@ Three statically checkable obligations:
   so its ``skip_quiet`` is unreachable: either the override is dead
   code or a ``next_activity`` went missing.
 
-* **broken wake** — a ``wake()`` override that neither sets
-  ``self._wake_pending = True`` nor calls ``super().wake()`` silently
-  breaks external wakeups: the kernel consumes that flag to bound the
-  next jump, and a component that drops it can be skipped straight past
-  its stimulus.
+* **broken wake** — a ``wake()`` override that does not call
+  ``super().wake()`` must itself set ``self._wake_pending = True`` and
+  ``self._asleep = False``.  The kernel consumes the first flag to
+  bound the next jump, so a component that drops it can be skipped
+  straight past its stimulus; a component that leaves the second set
+  stays asleep and the fast kernel never ticks it again.
 """
 
 import ast
@@ -130,24 +131,25 @@ class WakeupContractRule(Rule):
             if wake is not None and not self._wake_is_sound(wake):
                 yield source.finding(
                     self.id, wake,
-                    "{}.wake neither sets self._wake_pending = True nor "
-                    "calls super().wake() — external wakeups are dropped "
-                    "and the fast path can jump past the stimulus".format(
-                        class_node.name
-                    ),
+                    "{}.wake neither calls super().wake() nor sets both "
+                    "self._wake_pending = True and self._asleep = False — "
+                    "external wakeups are dropped, so the fast path can "
+                    "jump past the stimulus or leave the component "
+                    "asleep".format(class_node.name),
                 )
 
     def _wake_is_sound(self, wake_node):
         if calls_super_method(wake_node, "wake"):
             return True
+        required = {"_wake_pending": True, "_asleep": False}
         for node in ast.walk(wake_node):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (
                         isinstance(target, ast.Attribute)
-                        and target.attr == "_wake_pending"
+                        and target.attr in required
                         and isinstance(node.value, ast.Constant)
-                        and node.value.value is True
+                        and node.value.value is required[target.attr]
                     ):
-                        return True
-        return False
+                        del required[target.attr]
+        return not required

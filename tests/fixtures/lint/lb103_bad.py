@@ -39,3 +39,14 @@ class DroppedWake:
 
     def next_activity(self, cycle):
         return None
+
+
+class StaleSleepWake:
+    """wake() sets the flag but never clears the sleep: a sleeping
+    component is never ticked again in fast mode."""
+
+    def wake(self):
+        self._wake_pending = True
+
+    def next_activity(self, cycle):
+        return None

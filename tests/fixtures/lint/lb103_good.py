@@ -57,6 +57,7 @@ class InheritedReplay(CountdownWithReplay):
 class ProperWake:
     def wake(self):
         self._wake_pending = True
+        self._asleep = False
 
     def next_activity(self, cycle):
         return None

@@ -59,7 +59,8 @@ def test_lb103_bad_fixture_catches_contract_violations():
     assert "CountdownWithoutReplay.next_activity" in messages
     assert "DeadReplay.skip_quiet" in messages
     assert "DroppedWake.wake" in messages
-    assert len(findings) == 3
+    assert "StaleSleepWake.wake" in messages
+    assert len(findings) == 4
 
 
 def test_lb104_bad_fixture_catches_stale_cache_paths():
