@@ -30,8 +30,9 @@ class _LotteryArbiter(Arbiter):
 
     def arbitrate(self, cycle, pending):
         self._check_pending(pending)
-        request_map = [words > 0 for words in pending]
-        outcome = self.manager.draw(request_map)
+        # Nonzero word counts request: the manager packs them straight
+        # into its table index.
+        outcome = self.manager.draw(pending)
         self.last_outcome = outcome
         if outcome is None or outcome.winner is None:
             # No requests, or a rejection-policy draw missed every range.

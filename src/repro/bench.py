@@ -24,6 +24,7 @@ is gated only in full runs; ``--quick`` records it without gating.
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -37,6 +38,12 @@ import time
 from repro.arbiters.registry import make_arbiter
 from repro.atm.switch import OutputQueuedSwitch
 from repro.bus.topology import build_single_bus_system
+from repro.core.compensation import CompensatedLotteryManager
+from repro.core.lfsr import LFSR
+from repro.core.lottery_manager import (
+    DynamicLotteryManager,
+    StaticLotteryManager,
+)
 from repro.experiments.table1 import ARCHITECTURES, TABLE1_WEIGHTS, table1_workload
 from repro.traffic.generator import PoissonGenerator, SaturatingGenerator
 from repro.traffic.message import FixedWords
@@ -229,8 +236,74 @@ SCENARIOS = (
 )
 
 
+# The lottery draws underneath the scenarios, alone: ``LFSR.sample`` at
+# the static manager's register width for 1:2:3:4 tickets (12 bits) and
+# the dynamic manager's (16 bits), and one lottery per call on each
+# manager, cycling through every non-empty request map of 4 masters.
+# The compensated manager also takes each draw's grant feedback, with
+# burst sizes cycling through 1..16 words.  An entry's fingerprint (the
+# final register or manager state, plus the wins per master) must repeat
+# across repeats, like a scenario's.
+DRAW_COUNTS = (200_000, 20_000)  # (full, quick) calls per entry
+DRAW_TICKETS = (1, 2, 3, 4)
+
+
+def _run_lfsr_samples(width, count):
+    lfsr = LFSR(width, seed=1)
+    sample = lfsr.sample
+    for _ in range(count):
+        sample()
+    return lfsr.state
+
+
+def _run_manager_draws(make_manager, count):
+    manager = make_manager(DRAW_TICKETS)
+    draw = manager.draw_index
+    wins = [0] * NUM_MASTERS
+    compensated = isinstance(manager, CompensatedLotteryManager)
+    for call in range(count):
+        winner = draw(call % 15 + 1).winner
+        wins[winner] += 1
+        if compensated:
+            manager.note_grant(winner, call % 16 + 1)
+    return wins, manager.state_dict()
+
+
+# (name, runner, runner's first argument, rate key)
+DRAWS = (
+    ("lfsr_sample_w12", _run_lfsr_samples, 12, "samples_per_second"),
+    ("lfsr_sample_w16", _run_lfsr_samples, 16, "samples_per_second"),
+    ("static_manager", _run_manager_draws, StaticLotteryManager,
+     "draws_per_second"),
+    ("dynamic_manager", _run_manager_draws, DynamicLotteryManager,
+     "draws_per_second"),
+    ("compensated_manager", _run_manager_draws,
+     functools.partial(CompensatedLotteryManager, max_burst=16),
+     "draws_per_second"),
+)
+
+
+def _digest(value):
+    return hashlib.sha256(pickle.dumps(value)).hexdigest()[:16]
+
+
+def _draws_section(quick, repeats):
+    count = DRAW_COUNTS[1] if quick else DRAW_COUNTS[0]
+    entries = []
+    for name, runner, argument, key in DRAWS:
+        wall, _, mark = _best_of(
+            functools.partial(runner, argument, count), repeats,
+            fingerprint=_digest,
+        )
+        entry = {"name": name, "calls": count}
+        entry.update(_throughput(wall, count, key))
+        entry["fingerprint"] = mark
+        entries.append(entry)
+    return entries
+
+
 def kernel_leg(quick, repeats):
-    """Fast vs dense mode on every scenario."""
+    """Fast vs dense mode on every scenario, then the draws alone."""
     scenarios = []
     gates = {}
     for name, runner, systems, full_cycles, quick_cycles, description in (
@@ -265,7 +338,8 @@ def kernel_leg(quick, repeats):
             "fast": fast_section,
             "speedup": round(dense_wall / fast_wall, 2),
         })
-    return {"scenarios": scenarios}, gates
+    return {"scenarios": scenarios,
+            "draws": _draws_section(quick, repeats)}, gates
 
 
 # -- campaign leg ----------------------------------------------------------

@@ -40,8 +40,12 @@ class CompensationPolicy(Snapshottable):
         self.max_burst = max_burst
         self.cap = cap
         self._factors = [1.0] * base.num_masters
+        self._rebuild_holdings()
 
     state_attrs = ("_factors",)
+    # _holdings is the rounded image of _factors, kept per grant and
+    # rebuilt by load_state_dict below.
+    state_exclude = ("_holdings",)
 
     @property
     def num_masters(self):
@@ -52,12 +56,16 @@ class CompensationPolicy(Snapshottable):
         """Current per-master inflation factors (read-only copy)."""
         return tuple(self._factors)
 
+    def _holding(self, master):
+        inflated = round(self.base.tickets[master] * self._factors[master])
+        return min(self.cap, max(1, inflated))
+
+    def _rebuild_holdings(self):
+        self._holdings = [self._holding(m) for m in range(self.num_masters)]
+
     def holdings(self):
         """Current inflated holdings (integers, >= 1, <= cap)."""
-        return [
-            min(self.cap, max(1, round(t * f)))
-            for t, f in zip(self.base.tickets, self._factors)
-        ]
+        return list(self._holdings)
 
     def on_grant(self, master, burst_words):
         """Record a grant; returns the master's next inflation factor.
@@ -73,10 +81,17 @@ class CompensationPolicy(Snapshottable):
             raise ValueError("burst must carry at least one word")
         used = min(burst_words, self.max_burst)
         self._factors[master] = self.max_burst / used
+        # Only the winner's factor moved, so only its holding is redone.
+        self._holdings[master] = self._holding(master)
         return self._factors[master]
 
     def reset(self):
         self._factors = [1.0] * self.num_masters
+        self._rebuild_holdings()
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self._rebuild_holdings()
 
 
 class CompensatedLotteryManager(Snapshottable):
@@ -84,8 +99,8 @@ class CompensatedLotteryManager(Snapshottable):
 
     Drop-in compatible with the managers consumed by
     :class:`repro.arbiters.lottery._LotteryArbiter`: exposes
-    ``num_masters``, ``draw`` and ``reset``.  The arbiter wrapper feeds
-    grant sizes back through :meth:`note_grant`.
+    ``num_masters``, ``draw``, ``draw_index`` and ``reset``.  The
+    arbiter wrapper feeds grant sizes back through :meth:`note_grant`.
     """
 
     def __init__(self, base_tickets, max_burst, random_source=None,
@@ -113,6 +128,9 @@ class CompensatedLotteryManager(Snapshottable):
 
     def draw(self, request_map):
         return self._manager.draw(request_map)
+
+    def draw_index(self, index):
+        return self._manager.draw_index(index)
 
     def note_grant(self, master, burst_words):
         """Feed the granted burst size back into the compensation loop."""

@@ -3,7 +3,9 @@
 The static lottery manager's random number source is an LFSR
 (Section 4.3): cheap in hardware, one new pseudo-random word per cycle.
 This module implements Fibonacci LFSRs with maximal-length tap sets for
-widths 2..32, giving period ``2**k - 1``.
+widths 2..32, giving period ``2**k - 1``.  A sample clocks the register
+a whole word at once: the clocks compose into one GF(2) linear map,
+applied as one table lookup per byte of the state.
 
 A maximal LFSR never emits the all-zero state, so draws are uniform over
 ``[1, 2**k - 1]``.  :meth:`LFSR.draw` maps the state to ``[0, 2**k - 1)``
@@ -13,6 +15,8 @@ across a maximal period each value in ``[0, 2**k - 2]`` appears exactly
 once, and value ``2**k - 1`` never, a bias of one part in ``2**k - 1``
 that the paper's hardware shares.
 """
+
+import functools
 
 from repro.sim.snapshot import Snapshottable
 
@@ -54,15 +58,62 @@ MAXIMAL_TAPS = {
 }
 
 
-if hasattr(int, "bit_count"):  # Python >= 3.10
+def _compute_jump_masks(width, taps, steps_per_draw):
+    """The GF(2) jump map of ``steps_per_draw`` clocks: output bit ``i``
+    of the jumped state is the parity of ``state & masks[i]``.
 
-    def _parity(value):
-        return value.bit_count() & 1
+    The register update is linear over GF(2), so the clocks collapse
+    into one linear map.  Iterating the single-step symbolic update
+    builds the masks: after a clock, bit 0 is the XOR of the tap masks
+    and bit ``i`` inherits bit ``i-1``'s mask.
+    """
+    masks = [1 << i for i in range(width)]
+    for _ in range(steps_per_draw):
+        feedback = 0
+        for tap in taps:
+            feedback ^= masks[tap - 1]
+        masks = [feedback] + masks[:-1]
+    return tuple(masks)
 
-else:
 
-    def _parity(value):
-        return bin(value).count("1") & 1
+def _byte_tables(masks):
+    """One table per input byte of the jump map ``masks`` (256 entries,
+    fewer for a partial top byte).
+
+    By linearity the jumped state is the XOR of the images of the
+    input's set bits; table ``b`` holds that XOR for every value of
+    input byte ``b``, so a jump is one lookup per byte.  Entry ``v`` is
+    entry ``v`` without its lowest bit, XOR the image of that bit.
+    """
+    width = len(masks)
+    # images[j]: the output word one set input bit j maps to.
+    images = [
+        sum(1 << i for i, mask in enumerate(masks) if mask >> j & 1)
+        for j in range(width)
+    ]
+    tables = []
+    for low in range(0, width, 8):
+        table = [0] * (1 << min(8, width - low))
+        for value in range(1, len(table)):
+            lowest = value & -value
+            table[value] = (table[value ^ lowest]
+                            ^ images[low + lowest.bit_length() - 1])
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+# Every seed of a replication and every lane of a sweep clocks the same
+# few registers; building their tables once per process keeps them out
+# of each constructor.  The entries are immutable.
+@functools.lru_cache(maxsize=256)
+def _jump_map(width, taps, steps_per_draw):
+    """``(jump masks, four byte tables)`` shared by every register with
+    this width, tap tuple and clocks per sample.  Bytes a register
+    narrower than 32 bits lacks get a one-entry table of zero, so
+    :meth:`LFSR.sample` always has four."""
+    masks = _compute_jump_masks(width, taps, steps_per_draw)
+    tables = _byte_tables(masks)
+    return masks, tables + ((0,),) * (4 - len(tables))
 
 
 class LFSR(Snapshottable):
@@ -112,7 +163,9 @@ class LFSR(Snapshottable):
         self.steps_per_draw = steps_per_draw
         self.seed = seed
         self.state = seed
-        self._jump_masks = self._compute_jump_masks()
+        self._jump_masks, (self._t0, self._t1, self._t2, self._t3) = (
+            _jump_map(width, self.taps, steps_per_draw)
+        )
 
     # The register's runtime state is exactly its current word (the seed
     # rides along so a restored LFSR still resets correctly).
@@ -129,31 +182,21 @@ class LFSR(Snapshottable):
         self.state = ((self.state << 1) | feedback) & self._mask
         return self.state
 
-    def _compute_jump_masks(self):
-        # The register update is linear over GF(2), so ``steps_per_draw``
-        # clocks collapse into one precomputed linear map: output bit i
-        # is the XOR (parity) of the input bits selected by mask i.
-        # Iterating the single-step symbolic update builds the masks:
-        # after a clock, bit 0 is the XOR of the tap masks and bit i
-        # inherits bit i-1's mask.
-        masks = [1 << i for i in range(self.width)]
-        for _ in range(self.steps_per_draw):
-            feedback = 0
-            for tap in self.taps:
-                feedback ^= masks[tap - 1]
-            masks = [feedback] + masks[:-1]
-        return tuple(masks)
-
     def sample(self):
         """Advance ``steps_per_draw`` clocks in one jump; returns the new
         state — bit-identical to that many :meth:`step` calls."""
         state = self.state
-        result = 0
-        bit = 1
-        for mask in self._jump_masks:
-            if _parity(state & mask):
-                result |= bit
-            bit <<= 1
+        if state >> 16:
+            result = (
+                self._t0[state & 0xFF]
+                ^ self._t1[state >> 8 & 0xFF]
+                ^ self._t2[state >> 16 & 0xFF]
+                ^ self._t3[state >> 24]
+            )
+        else:
+            # The high bytes are zero and a linear map sends zero to
+            # zero, so their lookups would add nothing.
+            result = self._t0[state & 0xFF] ^ self._t1[state >> 8]
         self.state = result
         return result
 

@@ -15,7 +15,11 @@ from repro.core.tickets import TicketAssignment
 
 
 def request_map_to_index(request_map):
-    """Pack a request map into a table index, master 0 at bit 0."""
+    """Pack a request map into a table index, master 0 at bit 0.
+
+    Any truthy entry requests, so per-master pending word counts pack
+    as they are.
+    """
     index = 0
     for bit, pending in enumerate(request_map):
         if pending:

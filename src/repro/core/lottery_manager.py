@@ -29,7 +29,8 @@ The hardware has two realizable behaviours, both modelled here:
   bare comparator hardware without modulo does.
 """
 
-from repro.core.adder_tree import AdderTree
+from bisect import bisect_right
+
 from repro.core.lfsr import LFSR
 from repro.core.lookup_table import request_map_to_index, shared_lookup_table
 from repro.core.scaling import is_power_of_two, next_power_of_two, scale_to_power_of_two
@@ -95,12 +96,11 @@ def select_winner(draw, partial_sums):
 
     Every comparator outputs 1 when ``draw < partial_sum``; the priority
     selector grants the first asserted output.  Returns ``None`` when no
-    comparator fires (draw beyond the contending range).
+    comparator fires (draw beyond the contending range).  Partial sums
+    never decrease, so the first asserted output is a bisection.
     """
-    for master, boundary in enumerate(partial_sums):
-        if draw < boundary:
-            return master
-    return None
+    master = bisect_right(partial_sums, draw)
+    return master if master < len(partial_sums) else None
 
 
 class StaticLotteryManager(Snapshottable):
@@ -170,10 +170,17 @@ class StaticLotteryManager(Snapshottable):
         self.rejected_draws = 0
 
     def draw(self, request_map):
-        """Hold one lottery; returns a LotteryOutcome or None if no requests."""
-        partial_sums = self.table.partial_sums_at(
-            request_map_to_index(request_map)
-        )
+        """Hold one lottery; returns a LotteryOutcome or None if no requests.
+
+        A truthy entry of ``request_map`` requests, so a bus's pending
+        word counts serve as they are.
+        """
+        return self.draw_index(request_map_to_index(request_map))
+
+    def draw_index(self, index):
+        """:meth:`draw` for a request map already packed into a table
+        index (master 0 at bit 0); ``draw`` packs and calls this."""
+        partial_sums = self.table.partial_sums_at(index)
         total = partial_sums[-1]
         if total == 0:
             return None
@@ -220,7 +227,6 @@ class DynamicLotteryManager(Snapshottable):
         self.ticket_bits = ticket_bits
         self.max_ticket = (1 << ticket_bits) - 1
         self._tickets = [self._clamp(t) for t in initial.tickets]
-        self.adder_tree = AdderTree(len(self._tickets), ticket_bits)
         # Partial sums per packed request map, valid for the current
         # ticket table; rebuilt lazily, dropped on any ticket change.
         self._sums_cache = {}
@@ -294,11 +300,18 @@ class DynamicLotteryManager(Snapshottable):
         self.ticket_channel_up = True
 
     def set_all_tickets(self, tickets):
-        """Replace every holding at once."""
+        """Replace every holding at once: :meth:`set_tickets` per master,
+        in one pass with at most one cache invalidation."""
         if len(tickets) != len(self._tickets):
             raise ValueError("wrong number of masters")
-        for master, count in enumerate(tickets):
-            self.set_tickets(master, count)
+        if not self.ticket_channel_up:
+            self.dropped_updates += len(tickets)
+            return
+        clamped = [self._clamp(count) for count in tickets]
+        if clamped != self._tickets:
+            self._tickets = clamped
+            self._sums_cache.clear()
+        self.ticket_updates += len(tickets)
 
     def reset(self):
         self._tickets = list(self._initial)
@@ -318,16 +331,29 @@ class DynamicLotteryManager(Snapshottable):
         self._sums_cache.clear()
 
     def draw(self, request_map):
-        """Hold one lottery; returns a LotteryOutcome or None if no requests."""
+        """Hold one lottery; returns a LotteryOutcome or None if no requests.
+
+        A truthy entry of ``request_map`` requests, so a bus's pending
+        word counts serve as they are.
+        """
         if len(request_map) != len(self._tickets):
             raise ValueError("request map size mismatch")
-        key = request_map_to_index(request_map)
-        partial_sums = self._sums_cache.get(key)
+        return self.draw_index(request_map_to_index(request_map))
+
+    def draw_index(self, index):
+        """:meth:`draw` for a request map already packed into an index
+        (master 0 at bit 0); ``draw`` packs and calls this."""
+        partial_sums = self._sums_cache.get(index)
         if partial_sums is None:
-            partial_sums = tuple(
-                self.adder_tree.compute(request_map, self._tickets)
-            )
-            self._sums_cache[key] = partial_sums
+            # The adder tree's masked prefix sums (see
+            # repro.core.adder_tree), in one loop.
+            sums = []
+            running = 0
+            for master, tickets in enumerate(self._tickets):
+                if index >> master & 1:
+                    running += tickets
+                sums.append(running)
+            partial_sums = self._sums_cache[index] = tuple(sums)
         total = partial_sums[-1]
         if total == 0:
             return None

@@ -48,6 +48,20 @@ class TestbedResult:
         )
 
 
+def make_testbed_arbiter(arbiter_name, num_masters, weights, bus_max_burst,
+                         **arbiter_kwargs):
+    """The arbiter for a test-bed whose bus moves ``bus_max_burst`` words
+    per grant at most.
+
+    The compensated lottery's quantum must match the bus's for its
+    inflation to be exact, so unless ``arbiter_kwargs`` sets
+    ``max_burst``, it is ``bus_max_burst``.
+    """
+    if arbiter_name == "lottery-compensated":
+        arbiter_kwargs.setdefault("max_burst", bus_max_burst)
+    return make_arbiter(arbiter_name, num_masters, weights, **arbiter_kwargs)
+
+
 def run_testbed(
     arbiter_name,
     traffic_class_name,
@@ -67,6 +81,8 @@ def run_testbed(
     :param weights: per-master importance (priorities / slots / tickets).
     :param cycles: measured simulation cycles.
     :param seed: root RNG seed for the traffic generators.
+    :param max_burst: most words the bus moves per grant (see
+        :func:`make_testbed_arbiter`).
     :param warmup: cycles simulated (queues filling, wheel spinning)
         before metrics start accumulating.
     :param arbiter_kwargs: scheme-specific extras (e.g. ``reclaim``).
@@ -74,7 +90,9 @@ def run_testbed(
     if warmup < 0:
         raise ValueError("warmup must be non-negative")
     traffic_class = get_traffic_class(traffic_class_name)
-    arbiter = make_arbiter(arbiter_name, num_masters, weights, **arbiter_kwargs)
+    arbiter = make_testbed_arbiter(
+        arbiter_name, num_masters, weights, max_burst, **arbiter_kwargs
+    )
     system, bus = build_single_bus_system(
         num_masters,
         arbiter,

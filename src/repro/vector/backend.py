@@ -15,13 +15,13 @@ metric or arbiter-state mismatch — the batch analogue of the kernel's
 strict mode.
 """
 
-from repro.arbiters.registry import make_arbiter
 from repro.bus.topology import build_single_bus_system
 from repro.experiments.system import (
     DEFAULT_CYCLES,
     DEFAULT_MAX_BURST,
     DEFAULT_NUM_MASTERS,
     TestbedResult,
+    make_testbed_arbiter,
     run_testbed,
 )
 from repro.traffic.classes import get_traffic_class
@@ -68,7 +68,9 @@ def make_testbed_builder(
     kwargs = dict(arbiter_kwargs or {})
 
     def build():
-        arbiter = make_arbiter(arbiter_name, num_masters, weights, **kwargs)
+        arbiter = make_testbed_arbiter(
+            arbiter_name, num_masters, weights, max_burst, **kwargs
+        )
         return build_single_bus_system(
             num_masters,
             arbiter,

@@ -67,6 +67,7 @@ def test_kernel_leg_fast_equals_dense_on_short_runs(monkeypatch):
         (name, runner, systems, 300, 300, description)
         for name, runner, systems, _, _, description in bench.SCENARIOS
     ))
+    monkeypatch.setattr(bench, "DRAW_COUNTS", (300, 300))
     report = bench.run_leg("kernel", quick=True, repeats=2)
     assert report["ok"]
     names = [entry["name"] for entry in report["scenarios"]]
@@ -77,6 +78,12 @@ def test_kernel_leg_fast_equals_dense_on_short_runs(monkeypatch):
         entry["cycles_per_system"] == 300 and entry["speedup"] > 0
         for entry in report["scenarios"]
     )
+    assert [entry["name"] for entry in report["draws"]] == [
+        "lfsr_sample_w12", "lfsr_sample_w16", "static_manager",
+        "dynamic_manager", "compensated_manager",
+    ]
+    assert all(entry["calls"] == 300 and len(entry["fingerprint"]) == 16
+               for entry in report["draws"])
 
 
 def test_lint_leg_missing_the_warm_target_fails_only_that_gate(

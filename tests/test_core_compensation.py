@@ -84,3 +84,38 @@ def test_compensation_respects_unequal_base_tickets():
     shares = bus.metrics.bandwidth_shares()
     assert shares[0] == pytest.approx(0.375, abs=0.05)
     assert shares[3] == pytest.approx(0.125, abs=0.05)
+
+
+def _quanta(arbiter):
+    return arbiter.max_burst, arbiter.manager.policy.max_burst
+
+
+def test_testbed_compensation_quantum_is_the_bus_max_burst(monkeypatch):
+    from repro.experiments import system
+
+    arbiters = []
+    build = system.build_single_bus_system
+
+    def spy(num_masters, arbiter, *args, **kwargs):
+        arbiters.append(arbiter)
+        return build(num_masters, arbiter, *args, **kwargs)
+
+    monkeypatch.setattr(system, "build_single_bus_system", spy)
+    system.run_testbed("lottery-compensated", "T9", [1, 2, 3, 4],
+                       cycles=50, max_burst=8)
+    assert [_quanta(arbiter) for arbiter in arbiters] == [(8, 8)]
+
+
+def test_batch_builder_compensation_quantum_is_the_bus_max_burst():
+    from repro.vector.backend import make_testbed_builder
+
+    _, bus = make_testbed_builder(
+        "lottery-compensated", "T9", [1, 2, 3, 4], max_burst=8
+    )()
+    assert bus.max_burst == 8 and _quanta(bus.arbiter) == (8, 8)
+    # An explicit quantum still wins.
+    _, bus = make_testbed_builder(
+        "lottery-compensated", "T9", [1, 2, 3, 4], max_burst=8,
+        arbiter_kwargs={"max_burst": 4},
+    )()
+    assert _quanta(bus.arbiter) == (4, 4)
