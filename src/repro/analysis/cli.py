@@ -74,10 +74,6 @@ def build_parser():
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="lint cache-miss files with N worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--no-incremental", action="store_true",
         help="disable the content-hash incremental cache (always cold)",
     )
@@ -125,9 +121,7 @@ def main(argv=None):
 
     started = time.perf_counter()
     try:
-        findings = lint_paths(
-            paths, rules=rules, jobs=args.jobs, cache=cache
-        )
+        findings = lint_paths(paths, rules=rules, cache=cache)
     except LintError as error:
         print("error: {}".format(error), file=sys.stderr)
         return EXIT_USAGE
@@ -136,7 +130,7 @@ def main(argv=None):
         cache.save()
         print(cache.stats_line(), file=sys.stderr)
     print(
-        "lint: completed in {:.3f}s (jobs={})".format(elapsed, args.jobs),
+        "lint: completed in {:.3f}s".format(elapsed),
         file=sys.stderr,
     )
 

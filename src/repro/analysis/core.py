@@ -382,8 +382,7 @@ def iter_python_files(paths, excluded_dirs=DEFAULT_EXCLUDED_DIRS):
 def _lint_one(display_path, text, file_rules):
     """Per-file phase for one file: findings (as dicts, already
     suppression-filtered) plus the flow summary.  Everything returned
-    is JSON-serializable — the unit the incremental cache stores and
-    the multiprocessing workers ship back."""
+    is JSON-serializable — the unit the incremental cache stores."""
     from repro.analysis.flow import extract_summary
 
     source = SourceFile(display_path, text)
@@ -394,35 +393,18 @@ def _lint_one(display_path, text, file_rules):
     )
 
 
-_POOL_RULES = None
-
-
-def _pool_init(select_ids):
-    global _POOL_RULES
-    _POOL_RULES = partition_rules(get_rules(select_ids))[0]
-
-
-def _pool_lint_one(item):
-    display_path, text = item
-    return _lint_one(display_path, text, _POOL_RULES)
-
-
 def lint_paths(paths, rules=None, excluded_dirs=DEFAULT_EXCLUDED_DIRS,
-               jobs=0, cache=None):
+               cache=None):
     """Lint files and directory trees; returns sorted findings.
 
-    :param jobs: fan per-file work for cache-miss files across this
-        many worker processes (``0``/``1`` = in-process).
     :param cache: a :class:`~repro.analysis.cache.LintCache`; hits skip
         parsing entirely and the caller is responsible for ``save()``.
     """
     if rules is None:
         rules = get_rules()
     file_rules, project_rules = partition_rules(rules)
-    select_ids = [rule.id for rule in rules]
 
     results = {}   # display path -> (finding dicts, summary)
-    misses = []    # (display path, text, digest)
     for file_path in iter_python_files(paths, excluded_dirs):
         display = _display_path(file_path)
         try:
@@ -440,17 +422,7 @@ def lint_paths(paths, rules=None, excluded_dirs=DEFAULT_EXCLUDED_DIRS,
             if entry is not None:
                 results[display] = (entry["findings"], entry["summary"])
                 continue
-        misses.append((display, text, digest))
-
-    if jobs and jobs > 1 and len(misses) > 1:
-        outputs = _lint_parallel(misses, select_ids, jobs)
-    else:
-        outputs = [
-            _lint_one(display, text, file_rules)
-            for display, text, _ in misses
-        ]
-    for (display, text, digest), (finding_dicts, summary) in zip(
-            misses, outputs):
+        finding_dicts, summary = _lint_one(display, text, file_rules)
         results[display] = (finding_dicts, summary)
         if cache is not None:
             cache.store(display, digest, finding_dicts, summary)
@@ -498,30 +470,6 @@ def _project_findings_cached(results, summaries, project_rules, cache):
             cache.project_store(key, [f.as_dict() for f in computed])
             return computed
     return _project_findings(summaries, project_rules)
-
-
-def _lint_parallel(misses, select_ids, jobs):
-    """Fan the per-file phase over worker processes; falls back to
-    in-process on any pool setup failure (restricted environments)."""
-    try:
-        import multiprocessing
-
-        pool = multiprocessing.Pool(
-            min(jobs, len(misses)), initializer=_pool_init,
-            initargs=(select_ids,),
-        )
-    except (ImportError, OSError, ValueError):
-        return [
-            _lint_one(display, text, partition_rules(get_rules(select_ids))[0])
-            for display, text, _ in misses
-        ]
-    try:
-        return pool.map(
-            _pool_lint_one, [(display, text) for display, text, _ in misses]
-        )
-    finally:
-        pool.close()
-        pool.join()
 
 
 def _display_path(path):

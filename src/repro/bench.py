@@ -708,17 +708,17 @@ def analytic_leg(quick, repeats):
 # -- lint leg --------------------------------------------------------------
 #
 # The incremental linter (repro.lint) on the repo's own tree: a cold
-# run against an empty cache, a fully warm run (every per-file result
-# and the whole-program pass replayed from the cache), and a cold run
-# fanned across a worker pool.  All three must produce byte-identical
-# findings, and the warm run must clear the 5x speedup target.
+# run against an empty cache and a fully warm run (every per-file result
+# and the whole-program pass replayed from the cache).  Both must
+# produce byte-identical findings, and the warm run must clear the 5x
+# speedup target.
 
 _LINT_TARGETS = ("src", "tests")
 _LINT_WARM_SPEEDUP_TARGET = 5.0
 
 
 def lint_leg(quick, repeats):
-    """Cold vs warm vs parallel lint of the repo tree, in process.
+    """Cold vs warm lint of the repo tree, in process.
 
     The cache lives in a throwaway directory so the benchmark never
     touches (or benefits from) the checkout's own ``.lint-cache.json``.
@@ -731,13 +731,11 @@ def lint_leg(quick, repeats):
         iter_python_files,
         lint_paths,
     )
-    from repro.experiments.supervisor import default_jobs
 
     rules = get_rules()
     rule_ids = [rule.id for rule in rules]
     paths = list(_LINT_TARGETS)
     file_count = sum(1 for _ in iter_python_files(paths))
-    jobs = default_jobs()
 
     def findings_print(findings):
         return json.dumps(
@@ -766,19 +764,11 @@ def lint_leg(quick, repeats):
             cached_lint, repeats,
             fingerprint=lambda value: findings_print(value[0]),
         )
-        # No cache: exercises the multiprocessing path, not reuse.
-        parallel_wall, _, parallel = _best_of(
-            lambda: lint_paths(paths, rules=rules, jobs=jobs), repeats,
-            fingerprint=findings_print,
-        )
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
 
     warm_speedup = cold_wall / warm_wall
-    gates = {
-        "warm_equals_cold": warm == cold,
-        "parallel_equals_cold": parallel == cold,
-    }
+    gates = {"warm_equals_cold": warm == cold}
     if not quick:
         gates["warm_speedup_meets_target"] = (
             warm_speedup >= _LINT_WARM_SPEEDUP_TARGET
@@ -793,11 +783,6 @@ def lint_leg(quick, repeats):
             _throughput(warm_wall, file_count, "files_per_second"),
             cache_hits=warm_cache.hits,
             cache_misses=warm_cache.misses,
-        ),
-        "parallel": dict(
-            _throughput(parallel_wall, file_count, "files_per_second"),
-            jobs=jobs,
-            speedup_vs_cold=round(cold_wall / parallel_wall, 2),
         ),
         "warm_speedup": round(warm_speedup, 1),
         "warm_speedup_target": _LINT_WARM_SPEEDUP_TARGET,

@@ -36,7 +36,12 @@ class SharedBus(Component):
 
     :param name: component name.
     :param masters: list of :class:`~repro.bus.master.MasterInterface`,
-        indexed by master id.
+        indexed by master id.  The interface is the bus's one master
+        protocol: the bus reads ``master_id``, ``retry_policy`` and
+        ``pending_words``, and calls ``head``, ``service``, ``retire``,
+        ``complete_with_error``, ``next_activity``, ``reset``,
+        ``state_dict`` and ``load_state_dict``, with no fallback for a
+        master that lacks one.
     :param slaves: list of :class:`~repro.bus.slave.Slave`, indexed by
         slave id; a default zero-wait slave is created if omitted.
     :param arbiter: an :class:`~repro.arbiters.base.Arbiter`.
@@ -118,7 +123,7 @@ class SharedBus(Component):
         # expire, so the call would be a no-op.
         self._serviced_masters = [
             master for master in self.masters
-            if getattr(master, "retry_policy", None) is not None
+            if master.retry_policy is not None
         ]
 
     def add_completion_hook(self, hook, key=None):
@@ -163,13 +168,11 @@ class SharedBus(Component):
         self._stall = 0
         self._stall_run = 0
         self.metrics.reset()
-        if hasattr(self.arbiter, "reset"):
-            self.arbiter.reset()
+        self.arbiter.reset()
         # The bus is its masters' and slaves' snapshot root (see below),
         # so it resets them too.
         for part in self.masters + self.slaves:
-            if hasattr(part, "reset"):
-                part.reset()
+            part.reset()
 
     # -- checkpoint / restore (see repro.sim.snapshot) -------------------
     #
@@ -190,14 +193,8 @@ class SharedBus(Component):
 
     def state_dict(self):
         state = default_state_dict(self)
-        state["masters"] = [
-            master.state_dict() if hasattr(master, "state_dict") else None
-            for master in self.masters
-        ]
-        state["slaves"] = [
-            slave.state_dict() if hasattr(slave, "state_dict") else None
-            for slave in self.slaves
-        ]
+        state["masters"] = [master.state_dict() for master in self.masters]
+        state["slaves"] = [slave.state_dict() for slave in self.slaves]
         burst = self._burst
         state["burst"] = (
             None
@@ -232,11 +229,9 @@ class SharedBus(Component):
             )
         default_load_state_dict(self, state)
         for master, master_state in zip(self.masters, master_states):
-            if master_state is not None:
-                master.load_state_dict(master_state)
+            master.load_state_dict(master_state)
         for slave, slave_state in zip(self.slaves, slave_states):
-            if slave_state is not None:
-                slave.load_state_dict(slave_state)
+            slave.load_state_dict(slave_state)
         if burst_state is None:
             self._burst = None
         else:
@@ -277,16 +272,11 @@ class SharedBus(Component):
         cycle rather than blocking the skip."""
         if self._burst is not None or self._stall > 0:
             return cycle
-        if not getattr(self.arbiter, "supports_idle_skip", False):
+        if not self.arbiter.supports_idle_skip:
             return cycle
         horizon = None
         for master in self.masters:
-            if hasattr(master, "next_activity"):
-                nxt = master.next_activity(cycle)
-            elif master.pending_words:  # duck-typed master
-                nxt = cycle
-            else:
-                nxt = None
+            nxt = master.next_activity(cycle)
             if nxt is None:
                 continue
             if nxt <= cycle:
@@ -305,7 +295,7 @@ class SharedBus(Component):
         self.arbiter.skip_idle(span)
 
     def tick(self, cycle):
-        self.metrics.observe_cycle()
+        self.metrics.cycles += 1
         for master in self._serviced_masters:
             master.service(cycle, self.metrics.faults)
         if self._stall > 0:
@@ -356,9 +346,11 @@ class SharedBus(Component):
             )
         master = self.masters[grant.master]
         request = master.head()
-        burst = min(request.remaining, self.max_burst)
-        if grant.max_words is not None:
-            burst = min(burst, grant.max_words)
+        burst = request.remaining
+        if burst > self.max_burst:
+            burst = self.max_burst
+        if grant.max_words is not None and burst > grant.max_words:
+            burst = grant.max_words
         if self.preemptive:
             burst = 1
         slave = self.slaves[request.slave]
@@ -383,7 +375,6 @@ class SharedBus(Component):
         request = burst.request
         request.remaining -= 1
         burst.words_left -= 1
-        request.account_word(cycle)
         self.metrics.record_word(request.master)
         self._stall_run = 0
         self._stall = burst.slave.serve_word()
@@ -391,7 +382,7 @@ class SharedBus(Component):
             if self.injector.corrupt_word(self, request, cycle):
                 request.fault_detected = True
             self._stall += self.injector.slave_stall(self, burst.slave, cycle)
-        if request.complete:
+        if request.remaining == 0:
             if request.fault_detected:
                 # End-of-message integrity check failed (the CRC view of
                 # the injected word errors): error-respond instead of
@@ -400,11 +391,7 @@ class SharedBus(Component):
                 self._complete_with_error(request, cycle)
                 return
             request.completion_cycle = cycle
-            master = self.masters[request.master]
-            if hasattr(master, "retire"):
-                master.retire(request)
-            else:  # duck-typed master without the retry machinery
-                master.pop()
+            self.masters[request.master].retire(request)
             self.metrics.record_completion(request)
             if request.retries:
                 self.metrics.faults.record_recovered(
@@ -429,11 +416,6 @@ class SharedBus(Component):
         """Deliver an error response to the issuing master."""
         faults = self.metrics.faults
         faults.record_detected()
-        master = self.masters[request.master]
-        if hasattr(master, "complete_with_error"):
-            master.complete_with_error(request, cycle, faults=faults)
-        else:  # duck-typed master without the retry machinery
-            request.aborted = True
-            if master.head() is request:
-                master.pop()
-            faults.record_aborted()
+        self.masters[request.master].complete_with_error(
+            request, cycle, faults=faults
+        )

@@ -33,8 +33,6 @@ class Request:
         "remaining",
         "first_grant_cycle",
         "completion_cycle",
-        "last_word_cycle",
-        "word_latency_total",
         "retries",
         "fault_detected",
         "aborted",
@@ -59,8 +57,6 @@ class Request:
         self.remaining = words
         self.first_grant_cycle = None
         self.completion_cycle = None
-        self.last_word_cycle = None
-        self.word_latency_total = 0
         # Split-transaction state: while parked the request is invisible
         # to arbitration (the slave is performing its setup off-bus).
         self.parked_until = None
@@ -73,22 +69,6 @@ class Request:
         self.aborted = False
         self.attempt_cycle = arrival_cycle
         self.attempt_granted = False
-
-    def account_word(self, cycle):
-        """Record one word moving at ``cycle`` (called by the bus).
-
-        Accumulates the *word-stretch* latency: each word is charged the
-        cycles since it became ready (the message's arrival for the
-        first word, the cycle after the previous word for the rest).
-        Back-to-back service from arrival scores exactly 1.0 per word;
-        slot-interleaved service charges every inter-word gap.
-        """
-        if self.last_word_cycle is None:
-            ready = self.arrival_cycle
-        else:
-            ready = self.last_word_cycle + 1
-        self.word_latency_total += cycle - ready + 1
-        self.last_word_cycle = cycle
 
     def prepare_retry(self, cycle):
         """Reset per-attempt transfer state so the request can re-issue.
@@ -125,20 +105,11 @@ class Request:
 
     @property
     def latency_per_word(self):
-        """Message-normalized cycles per word: in-flight cycles / words."""
+        """Message-normalized cycles per word: in-flight cycles / words.
+
+        This is the paper's latency metric and the repo's only one (see
+        :class:`~repro.metrics.latency.LatencyStats`)."""
         return self.latency_cycles / self.words
-
-    @property
-    def word_latency_per_word(self):
-        """Word-stretch cycles per word (see :meth:`account_word`).
-
-        This is the reproduction's reading of the paper's "average number
-        of bus cycles spent in transferring a bus word including both
-        waiting time and data transfer time": every word is charged its
-        own wait, so slot-interleaved (TDMA) service is visibly more
-        expensive than burst (lottery) service.
-        """
-        return self.word_latency_total / self.words
 
     @property
     def wait_cycles(self):

@@ -158,9 +158,10 @@ class MasterStats(Snapshottable):
 class MetricsCollector(Snapshottable):
     """Accumulates bus activity; one instance per bus per run.
 
-    The bus calls :meth:`observe_cycle` exactly once per simulated cycle
-    and the ``record_*`` methods as events occur, so fractions computed
-    here need no knowledge of the simulator.
+    The bus counts every simulated cycle into :attr:`cycles` (its tick
+    bumps the counter inline; :meth:`observe_idle_gap` adds a skipped
+    span) and calls the ``record_*`` methods as events occur, so
+    fractions computed here need no knowledge of the simulator.
     """
 
     def __init__(self, num_masters):
@@ -289,22 +290,20 @@ class MetricsCollector(Snapshottable):
     def latencies_per_word(self):
         return [self.latency_per_word(i) for i in range(self.num_masters)]
 
-    def word_latency(self, master):
-        """Word-stretch cycles/word (the paper figures' metric)."""
-        return self.masters[master].latency.avg_word_latency
-
-    def word_latencies(self):
-        return [self.word_latency(i) for i in range(self.num_masters)]
-
     def summary(self):
-        """A plain-dict summary convenient for reports and JSON dumps."""
+        """A plain-dict summary convenient for reports and JSON dumps.
+
+        ``word_latencies`` repeats ``latencies_per_word``: it is kept as
+        an alias so that summary digests and cache keys stay stable.
+        """
+        latencies = self.latencies_per_word()
         return {
             "cycles": self.cycles,
             "utilization": self.utilization(),
             "bandwidth_fractions": self.bandwidth_fractions(),
             "bandwidth_shares": self.bandwidth_shares(),
-            "latencies_per_word": self.latencies_per_word(),
-            "word_latencies": self.word_latencies(),
+            "latencies_per_word": latencies,
+            "word_latencies": list(latencies),
             "words": [stats.words for stats in self.masters],
             "grants": [stats.grants for stats in self.masters],
             "faults": self.faults.summary(),

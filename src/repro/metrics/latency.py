@@ -13,6 +13,12 @@ class LatencyStats(Snapshottable):
     i.e. ``(c - a + 1) / w`` cycles per word.  Averaging is word-weighted
     (total in-flight cycles over total words), so long messages count in
     proportion to the bandwidth they consume.
+
+    This is the repo's one latency metric.  Charging each word the
+    cycles since it became ready (the message's arrival for the first
+    word, the cycle after the previous word for the rest) telescopes to
+    the same ``c - a + 1`` per message, so no second, per-word copy is
+    kept.
     """
 
     def __init__(self):
@@ -20,7 +26,6 @@ class LatencyStats(Snapshottable):
         self.words = 0
         self.total_cycles = 0
         self.total_wait_cycles = 0
-        self.total_word_latency = 0
         self.max_latency_per_word = 0.0
         self.max_wait_cycles = 0
 
@@ -29,22 +34,24 @@ class LatencyStats(Snapshottable):
         "words",
         "total_cycles",
         "total_wait_cycles",
-        "total_word_latency",
         "max_latency_per_word",
         "max_wait_cycles",
     )
 
     def record(self, request):
         """Fold one completed :class:`~repro.bus.transaction.Request` in."""
+        latency = request.latency_cycles
+        wait = request.wait_cycles
+        words = request.words
         self.messages += 1
-        self.words += request.words
-        self.total_cycles += request.latency_cycles
-        self.total_wait_cycles += request.wait_cycles
-        self.total_word_latency += request.word_latency_total
-        self.max_latency_per_word = max(
-            self.max_latency_per_word, request.latency_per_word
-        )
-        self.max_wait_cycles = max(self.max_wait_cycles, request.wait_cycles)
+        self.words += words
+        self.total_cycles += latency
+        self.total_wait_cycles += wait
+        per_word = latency / words
+        if per_word > self.max_latency_per_word:
+            self.max_latency_per_word = per_word
+        if wait > self.max_wait_cycles:
+            self.max_wait_cycles = wait
 
     @property
     def avg_latency_per_word(self):
@@ -52,19 +59,6 @@ class LatencyStats(Snapshottable):
         if self.words == 0:
             return 0.0
         return self.total_cycles / self.words
-
-    @property
-    def avg_word_latency(self):
-        """Word-stretch mean cycles per word (the figures' metric).
-
-        Charges every word its individual wait since it became ready, so
-        slot-interleaved service (TDMA) scores its inter-word gaps while
-        burst service (lottery, priority) amortizes a single wait over
-        the whole message.  Back-to-back service from arrival scores 1.0.
-        """
-        if self.words == 0:
-            return 0.0
-        return self.total_word_latency / self.words
 
     @property
     def avg_latency_per_message(self):
@@ -86,7 +80,6 @@ class LatencyStats(Snapshottable):
         self.words += other.words
         self.total_cycles += other.total_cycles
         self.total_wait_cycles += other.total_wait_cycles
-        self.total_word_latency += other.total_word_latency
         self.max_latency_per_word = max(
             self.max_latency_per_word, other.max_latency_per_word
         )

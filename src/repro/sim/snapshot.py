@@ -36,7 +36,10 @@ from collections import deque
 from repro.ioutil import atomic_write
 
 CHECKPOINT_MAGIC = b"LBUSCKPT"
-CHECKPOINT_VERSION = 1
+# Version 2: requests no longer carry the word-stretch latency slots and
+# LatencyStats no longer snapshots ``total_word_latency``; a version-1
+# payload would not restore into either.
+CHECKPOINT_VERSION = 2
 
 # magic (8s) | format version (u32) | payload length (u64) | CRC32 (u32)
 _HEADER = struct.Struct(">8sIQI")

@@ -127,8 +127,6 @@ class VectorEngine:
         self.q_words = np.zeros((L, M, Q), dtype=i64)
         self.h_remaining = np.zeros((L, M), dtype=i64)
         self.h_first = np.full((L, M), -1, dtype=i64)
-        self.h_last = np.full((L, M), -1, dtype=i64)
-        self.h_wlat = np.zeros((L, M), dtype=i64)
         self.think = np.zeros((L, M), dtype=i64)
 
         # -- bus state ----------------------------------------------------
@@ -147,7 +145,6 @@ class VectorEngine:
         self.lat_words = np.zeros((L, M), dtype=i64)
         self.lat_total = np.zeros((L, M), dtype=i64)
         self.lat_wait = np.zeros((L, M), dtype=i64)
-        self.lat_wlat = np.zeros((L, M), dtype=i64)
         self.lat_max_lpw = np.zeros((L, M), dtype=np.float64)
         self.lat_max_wait = np.zeros((L, M), dtype=i64)
 
@@ -248,7 +245,7 @@ class VectorEngine:
         for array in (self.m_cycles, self.m_busy, self.m_idle, self.m_stall,
                       self.m_words, self.m_grants, self.lat_msgs,
                       self.lat_words, self.lat_total, self.lat_wait,
-                      self.lat_wlat, self.lat_max_lpw, self.lat_max_wait):
+                      self.lat_max_lpw, self.lat_max_wait):
             array[...] = 0
         self._schedule.append(("reset",))
 
@@ -352,8 +349,6 @@ class VectorEngine:
             hm = masters[head]
             self.h_remaining[hl, hm] = words[head]
             self.h_first[hl, hm] = -1
-            self.h_last[hl, hm] = -1
-            self.h_wlat[hl, hm] = 0
         if draw_think and self._any_scalar_draws:
             means = self.gen_think_mean[lanes, masters]
             pondering = np.flatnonzero(means > 0)
@@ -479,16 +474,10 @@ class VectorEngine:
 
     def _transfer(self, lanes, cycle):
         """Move one word on every lane in ``lanes`` (burst holders)."""
-        np = self._np
         masters = self.burst_master[lanes]
         remaining = self.h_remaining[lanes, masters] - 1
         self.h_remaining[lanes, masters] = remaining
         self.burst_left[lanes] -= 1
-        last = self.h_last[lanes, masters]
-        ready = np.where(last < 0, self.q_arrival[lanes, masters, 0],
-                         last + 1)
-        self.h_wlat[lanes, masters] += cycle - ready + 1
-        self.h_last[lanes, masters] = cycle
         self.m_words[lanes, masters] += 1
         self.m_busy[lanes] += 1
         if self._may_stall:
@@ -513,7 +502,6 @@ class VectorEngine:
         self.lat_words[lanes, masters] += words
         self.lat_total[lanes, masters] += latency
         self.lat_wait[lanes, masters] += self.h_first[lanes, masters] - arrival
-        self.lat_wlat[lanes, masters] += self.h_wlat[lanes, masters]
         per_word = latency / words
         np.maximum(self.lat_max_lpw[lanes, masters], per_word,
                    out=per_word)
@@ -537,8 +525,6 @@ class VectorEngine:
             pm = masters[promote]
             self.h_remaining[pl, pm] = self.q_words[pl, pm, 0]
             self.h_first[pl, pm] = -1
-            self.h_last[pl, pm] = -1
-            self.h_wlat[pl, pm] = 0
         drained = ~promote
         if drained.any():
             self.h_remaining[lanes[drained], masters[drained]] = 0
@@ -564,7 +550,6 @@ class VectorEngine:
             latency.words = int(self.lat_words[lane, m])
             latency.total_cycles = int(self.lat_total[lane, m])
             latency.total_wait_cycles = int(self.lat_wait[lane, m])
-            latency.total_word_latency = int(self.lat_wlat[lane, m])
             latency.max_latency_per_word = float(self.lat_max_lpw[lane, m])
             latency.max_wait_cycles = int(self.lat_max_wait[lane, m])
         return collector.summary()

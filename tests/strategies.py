@@ -1,0 +1,42 @@
+"""Hypothesis strategies for generated bus test-bed points.
+
+Shared by the property tests that claim one behaviour across execution
+paths (fast == dense == strict kernels, vector lanes == scalar runs,
+one latency metric): each test draws its points from these, so every
+claim is checked over the same space.
+"""
+
+from hypothesis import strategies as st
+
+from repro.arbiters.registry import available_arbiters
+from repro.traffic.classes import TRAFFIC_CLASSES
+
+
+def weights():
+    """Four per-master weights (priorities, slots or tickets)."""
+    return st.lists(st.integers(min_value=1, max_value=8), min_size=4,
+                    max_size=4)
+
+
+#: One test-bed point: arbiter family, traffic class T1-T9, weights,
+#: burst cap, and the bus's preemption / split-transaction features.
+TESTBED_POINT = dict(
+    arbiter=st.sampled_from(available_arbiters()),
+    traffic=st.sampled_from(sorted(TRAFFIC_CLASSES)),
+    weights=weights(),
+    max_burst=st.integers(min_value=1, max_value=16),
+    preemptive=st.booleans(),
+    split_transactions=st.booleans(),
+    setup_wait_states=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+
+#: One retry policy and fault plan (see :mod:`repro.faults`).
+FAULT_PLAN = dict(
+    max_retries=st.integers(min_value=0, max_value=3),
+    timeout=st.one_of(st.none(), st.integers(min_value=8, max_value=200)),
+    backoff_base=st.integers(min_value=1, max_value=32),
+    word_error_rate=st.sampled_from([0.0, 0.01, 0.05]),
+    grant_drop_rate=st.sampled_from([0.0, 0.02]),
+    slave_stall_rate=st.sampled_from([0.0, 0.02]),
+)

@@ -54,7 +54,7 @@ def test_preemptive_bus_conserves_words_and_throughput():
     assert all(not m.has_request for m in masters)
 
 
-def test_preemption_interleaving_visible_in_word_latency():
+def test_preemption_interleaving_visible_in_latency():
     bus, masters = make_bus(preemptive=True)
     sim = Simulator()
     sim.add(bus)
@@ -62,4 +62,5 @@ def test_preemption_interleaving_visible_in_word_latency():
     masters[1].submit(6, 0)
     sim.run(12)
     # The low-priority request was stretched across the other's words.
+    assert low.latency_cycles == 12
     assert low.latency_per_word == 2.0

@@ -7,6 +7,8 @@ run.  Plus corruption tests: a damaged file raises CheckpointError and
 never half-restores the simulator.
 """
 
+import pickle
+
 import pytest
 
 from repro.arbiters.registry import available_arbiters, make_arbiter
@@ -15,7 +17,11 @@ from repro.atm.workload import PortWorkload
 from repro.bus.topology import build_single_bus_system
 from repro.experiments.checkpoint import ExperimentCheckpointer
 from repro.experiments.table1 import run_table1
-from repro.sim.snapshot import CheckpointError
+from repro.sim.snapshot import (
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    write_checkpoint,
+)
 from repro.traffic.generator import OnOffGenerator
 from repro.traffic.message import UniformWords
 
@@ -118,6 +124,24 @@ def test_truncated_checkpoint_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(CheckpointError):
         system.simulator.load_checkpoint(str(path))
+
+
+def test_version_1_checkpoint_is_refused_before_restore(tmp_path):
+    # Version 1 predates the one-latency-metric Request and LatencyStats
+    # layout; such a file must be refused whole, naming its version.
+    path = str(tmp_path / "bus.ckpt")
+    system, bus = _build_system("lottery-compensated")
+    system.run(700)
+    write_checkpoint(path, system.simulator.state_dict(), version=1)
+    system.run(300)
+    before = pickle.dumps(system.simulator.state_dict())
+    summary = bus.metrics.summary()
+    with pytest.raises(CheckpointError, match="version 1 "):
+        system.load_checkpoint(path)
+    assert CHECKPOINT_VERSION == 2
+    assert system.simulator.cycle == 1_000
+    assert bus.metrics.summary() == summary
+    assert pickle.dumps(system.simulator.state_dict()) == before
 
 
 def test_table1_interrupted_resume_is_bit_identical(tmp_path):

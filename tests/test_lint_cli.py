@@ -310,14 +310,6 @@ def test_no_incremental_bypasses_the_cache(tmp_path):
     assert not os.path.exists(cache)
 
 
-def test_parallel_jobs_produce_identical_output():
-    serial = run_lint("--no-incremental", "src/", "tests/")
-    parallel = run_lint("--no-incremental", "--jobs", "2", "src/", "tests/")
-    assert serial.returncode == parallel.returncode == 0
-    assert parallel.stdout == serial.stdout
-    assert "jobs=2" in parallel.stderr
-
-
 def test_timing_line_is_reported_on_stderr():
     result = run_lint(
         "--no-incremental", os.path.join(FIXTURES, "lb101_good.py")

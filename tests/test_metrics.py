@@ -15,7 +15,6 @@ def completed_request(master=0, words=4, arrival=0, start=0, gap=0):
     cycle = start
     for index in range(words):
         request.remaining -= 1
-        request.account_word(cycle)
         cycle += 1 + gap
     request.completion_cycle = cycle - 1 - gap
     return request
@@ -41,12 +40,15 @@ def test_latency_stats_word_weighting():
     assert stats.avg_latency_per_message == pytest.approx(10.0)
 
 
-def test_latency_stats_interleaving_visible_in_word_metric():
+def test_latency_stats_interleaving_visible_in_latency():
     smooth = LatencyStats()
     smooth.record(completed_request(words=4, start=0, gap=0))
     stretched = LatencyStats()
     stretched.record(completed_request(words=4, start=0, gap=3))
-    assert stretched.avg_word_latency > smooth.avg_word_latency
+    # Every inter-word gap is charged: words at 0, 4, 8, 12.
+    assert stretched.total_cycles == 13
+    assert smooth.total_cycles == 4
+    assert stretched.avg_latency_per_word > smooth.avg_latency_per_word
 
 
 def test_latency_stats_merge():
@@ -63,7 +65,7 @@ def test_latency_stats_empty():
     stats = LatencyStats()
     assert stats.avg_latency_per_word == 0.0
     assert stats.avg_latency_per_message == 0.0
-    assert stats.avg_word_latency == 0.0
+    assert stats.avg_wait_cycles == 0.0
 
 
 def test_collector_bandwidth_accounting():
@@ -102,6 +104,8 @@ def test_collector_summary_keys():
         "grants",
     ):
         assert key in summary
+    # One latency metric: the word_latencies key is its alias.
+    assert summary["word_latencies"] == summary["latencies_per_word"]
 
 
 def test_collector_reset():

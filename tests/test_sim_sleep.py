@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arbiters.registry import available_arbiters, make_arbiter
+from repro.arbiters.registry import make_arbiter
 from repro.bus.bus import SharedBus
 from repro.bus.master import MasterInterface
 from repro.bus.slave import Slave
@@ -24,9 +24,10 @@ from repro.bus.topology import BusSystem, build_single_bus_system
 from repro.experiments.fault_sweep import build_fault_testbed
 from repro.faults import FaultPlan, RetryPolicy
 from repro.sim import Component, KernelDivergenceError, Simulator
-from repro.traffic.classes import TRAFFIC_CLASSES, get_traffic_class
+from repro.traffic.classes import get_traffic_class
 from repro.traffic.generator import ClosedLoopGenerator, SaturatingGenerator
 from repro.traffic.message import FixedWords
+from tests.strategies import FAULT_PLAN, TESTBED_POINT, weights
 
 MODES = ("fast", "dense", "strict")
 
@@ -326,22 +327,8 @@ def test_restore_mid_run_replays_the_same_future():
 # -- fast == dense == strict on generated configurations ----------------------
 
 
-def _weights():
-    return st.lists(st.integers(min_value=1, max_value=8), min_size=4,
-                    max_size=4)
-
-
 @settings(max_examples=8, deadline=None)
-@given(
-    arbiter=st.sampled_from(available_arbiters()),
-    traffic=st.sampled_from(sorted(TRAFFIC_CLASSES)),
-    weights=_weights(),
-    max_burst=st.integers(min_value=1, max_value=16),
-    preemptive=st.booleans(),
-    split_transactions=st.booleans(),
-    setup_wait_states=st.integers(min_value=0, max_value=3),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
+@given(**TESTBED_POINT)
 def test_testbed_modes_agree(arbiter, traffic, weights, max_burst, preemptive,
                              split_transactions, setup_wait_states, seed):
     def run(mode):
@@ -367,15 +354,10 @@ def test_testbed_modes_agree(arbiter, traffic, weights, max_burst, preemptive,
 
 @settings(max_examples=8, deadline=None)
 @given(
-    arbiter=st.sampled_from(available_arbiters()),
-    weights=_weights(),
-    max_retries=st.integers(min_value=0, max_value=3),
-    timeout=st.one_of(st.none(), st.integers(min_value=8, max_value=200)),
-    backoff_base=st.integers(min_value=1, max_value=32),
-    word_error_rate=st.sampled_from([0.0, 0.01, 0.05]),
-    grant_drop_rate=st.sampled_from([0.0, 0.02]),
-    slave_stall_rate=st.sampled_from([0.0, 0.02]),
+    arbiter=TESTBED_POINT["arbiter"],
+    weights=weights(),
     seed=st.integers(min_value=1, max_value=2**16),
+    **FAULT_PLAN
 )
 def test_fault_testbed_modes_agree(arbiter, weights, max_retries, timeout,
                                    backoff_base, word_error_rate,

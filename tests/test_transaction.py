@@ -29,27 +29,25 @@ def test_request_validation(kwargs):
 def test_back_to_back_service_scores_one_cycle_per_word():
     request = Request(0, 4, 10)
     request.first_grant_cycle = 10
-    for cycle in range(10, 14):
-        request.remaining -= 1
-        request.account_word(cycle)
+    request.remaining -= 4  # words at cycles 10-13, back to back
     request.completion_cycle = 13
     assert request.complete
     assert request.latency_cycles == 4
     assert request.latency_per_word == 1.0
-    assert request.word_latency_per_word == 1.0
+    assert request.latency_cycles == request.words
     assert request.wait_cycles == 0
 
 
 def test_interleaved_service_charges_gaps():
     request = Request(0, 2, 0)
     request.first_grant_cycle = 3
-    request.remaining -= 1
-    request.account_word(3)  # waited 3 cycles, then moved
-    request.remaining -= 1
-    request.account_word(9)  # 5-cycle gap before the second word
+    request.remaining -= 2  # words at cycles 3 and 9
     request.completion_cycle = 9
+    assert request.complete
+    # Word 1 waited 3 cycles then moved (4); word 2 sat through a
+    # 5-cycle gap (6): the per-word charges sum to the message latency.
     assert request.latency_cycles == 10
-    assert request.word_latency_total == 4 + 6
+    assert request.latency_cycles == 4 + 6
     assert request.wait_cycles == 3
 
 
