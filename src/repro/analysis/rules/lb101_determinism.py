@@ -43,7 +43,6 @@ DETERMINISTIC_PACKAGES = (
     "repro.atm",
     "repro.faults",
     "repro.metrics",
-    "repro.soc",
 )
 
 _AMBIENT_RANDOM = {

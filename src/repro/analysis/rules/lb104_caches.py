@@ -1,9 +1,8 @@
 """LB104: hot-path caches must be invalidated by every mutator.
 
-PR 3 introduced memoization on the arbitration hot path: the dynamic
-lottery manager caches partial sums per request map (dropped on any
-ticket change), the flow manager caches prefix sums per flow vector.
-A cache like that is an invariant: *cache contents == function of the
+The arbitration hot path memoizes: the dynamic lottery manager caches
+partial sums per request map, dropped on any ticket change.  A cache
+like that is an invariant: *cache contents == function of the
 attributes it was computed from*.  Any method that mutates one of those
 attributes without invalidating leaves the cache serving stale sums —
 grants drift from ticket holdings and no exception ever fires.

@@ -2,14 +2,12 @@
 
 Includes the paper's two conventional baselines (static priority,
 two-level TDMA), two further architectures mentioned in Section 2.3
-(round-robin, token ring), both LOTTERYBUS variants, and three
-extensions: compensation tickets, per-data-flow lotteries, and
-deficit-weighted round-robin (the deterministic proportional-share
-comparison point).
+(round-robin, token ring), both LOTTERYBUS variants, and two
+extensions: compensation tickets and deficit-weighted round-robin (the
+deterministic proportional-share comparison point).
 """
 
 from repro.arbiters.base import Arbiter
-from repro.arbiters.flow_lottery import FlowLotteryArbiter
 from repro.arbiters.lottery import (
     CompensatedLotteryArbiter,
     DynamicLotteryArbiter,
@@ -24,7 +22,6 @@ from repro.arbiters.weighted_rr import WeightedRoundRobinArbiter
 
 __all__ = [
     "Arbiter",
-    "FlowLotteryArbiter",
     "CompensatedLotteryArbiter",
     "DynamicLotteryArbiter",
     "StaticLotteryArbiter",

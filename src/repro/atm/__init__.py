@@ -10,7 +10,6 @@ the ports.
 """
 
 from repro.atm.cell import ATMCell, CELL_WORDS
-from repro.atm.header import compute_hec, decode_header, encode_header, verify
 from repro.atm.port import OutputPort
 from repro.atm.queue import OutputQueue
 from repro.atm.scheduler import CellArrivalScheduler
@@ -21,10 +20,6 @@ from repro.atm.workload import BernoulliArrivals, OnOffArrivals, PortWorkload
 __all__ = [
     "ATMCell",
     "CELL_WORDS",
-    "compute_hec",
-    "decode_header",
-    "encode_header",
-    "verify",
     "OutputPort",
     "OutputQueue",
     "CellArrivalScheduler",

@@ -142,7 +142,7 @@ class AddressedMaster:
         self.word_bytes = word_bytes
         self.decode_errors = 0
 
-    def submit(self, address, words, cycle, tag=None, flow=None):
+    def submit(self, address, words, cycle, tag=None):
         """Decode and enqueue; raises AddressError on bad addresses."""
         try:
             slave = self.address_map.decode_burst(
@@ -151,6 +151,4 @@ class AddressedMaster:
         except AddressError:
             self.decode_errors += 1
             raise
-        return self.interface.submit(
-            words, cycle, slave=slave, tag=tag, flow=flow
-        )
+        return self.interface.submit(words, cycle, slave=slave, tag=tag)

@@ -97,10 +97,6 @@ class SharedBus(Component):
         self.arbiter = arbiter
         self._completion_hooks = []
         self._hook_keys = {}
-        if hasattr(arbiter, "bind"):
-            # Flow-aware arbiters need visibility beyond pending word
-            # counts (e.g. the head request's flow label).
-            arbiter.bind(self)
         self.max_burst = max_burst
         self.arbitration_cycles = arbitration_cycles
         self.preemptive = preemptive

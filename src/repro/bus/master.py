@@ -122,14 +122,12 @@ class MasterInterface(Component):
             if waiter is not None:
                 waiter.wake()
 
-    def submit(self, words, cycle, slave=0, tag=None, flow=None):
+    def submit(self, words, cycle, slave=0, tag=None):
         """Enqueue a new transaction; returns the Request or None if full."""
         if self.max_queue is not None and len(self._queue) >= self.max_queue:
             self.rejected_requests += 1
             return None
-        request = Request(
-            self.master_id, words, cycle, slave=slave, tag=tag, flow=flow
-        )
+        request = Request(self.master_id, words, cycle, slave=slave, tag=tag)
         self._queue.append(request)
         self.submitted_requests += 1
         return request

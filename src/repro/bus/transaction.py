@@ -16,9 +16,6 @@ class Request:
     :param slave: index of the target slave on the bus (default 0).
     :param tag: opaque caller data (e.g. an ATM cell), carried through to
         completion callbacks.
-    :param flow: optional data-flow label; flow-aware arbiters allocate
-        bandwidth per flow rather than per master (see
-        :mod:`repro.core.flows`).
     """
 
     __slots__ = (
@@ -27,7 +24,6 @@ class Request:
         "arrival_cycle",
         "slave",
         "tag",
-        "flow",
         "parked_until",
         "setup_done",
         "remaining",
@@ -40,8 +36,7 @@ class Request:
         "attempt_granted",
     )
 
-    def __init__(self, master, words, arrival_cycle, slave=0, tag=None,
-                 flow=None):
+    def __init__(self, master, words, arrival_cycle, slave=0, tag=None):
         if words < 1:
             raise ValueError("a request must carry at least one word")
         if master < 0:
@@ -53,7 +48,6 @@ class Request:
         self.arrival_cycle = arrival_cycle
         self.slave = slave
         self.tag = tag
-        self.flow = flow
         self.remaining = words
         self.first_grant_cycle = None
         self.completion_cycle = None

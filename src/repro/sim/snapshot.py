@@ -38,8 +38,9 @@ from repro.ioutil import atomic_write
 CHECKPOINT_MAGIC = b"LBUSCKPT"
 # Version 2: requests no longer carry the word-stretch latency slots and
 # LatencyStats no longer snapshots ``total_word_latency``; a version-1
-# payload would not restore into either.
-CHECKPOINT_VERSION = 2
+# payload would not restore into either.  Version 3: requests no longer
+# carry a ``flow`` slot, so a version-2 pickle cannot restore either.
+CHECKPOINT_VERSION = 3
 
 # magic (8s) | format version (u32) | payload length (u64) | CRC32 (u32)
 _HEADER = struct.Struct(">8sIQI")

@@ -13,7 +13,6 @@ from repro.traffic.message import (
     UniformWords,
 )
 from repro.traffic.patterns import PatternGenerator
-from repro.traffic.trace import Trace, TraceRecorder, TraceReplayGenerator
 
 __all__ = [
     "TRAFFIC_CLASSES",
@@ -27,7 +26,4 @@ __all__ = [
     "GeometricWords",
     "UniformWords",
     "PatternGenerator",
-    "Trace",
-    "TraceRecorder",
-    "TraceReplayGenerator",
 ]

@@ -15,15 +15,12 @@ class TrafficGenerator(Component):
     """Common bookkeeping for traffic sources.
 
     :param slave: target slave index for every emitted transaction.
-    :param flow: optional data-flow label stamped on every transaction
-        (consumed by flow-aware arbiters; see :mod:`repro.core.flows`).
     """
 
-    def __init__(self, name, interface, slave=0, flow=None):
+    def __init__(self, name, interface, slave=0):
         super().__init__(name)
         self.interface = interface
         self.slave = slave
-        self.flow = flow
         self.messages_emitted = 0
         self.words_emitted = 0
 
@@ -31,21 +28,8 @@ class TrafficGenerator(Component):
     # extend these with their own RNG stream and pacing state.
     state_attrs = ("messages_emitted", "words_emitted")
 
-    def _wait_on_interface(self):
-        """Ask the interface to wake this generator whenever its queue
-        shrinks.  Returns False for an interface that cannot (a
-        duck-typed one without ``add_waiter``): such a generator must
-        never sleep."""
-        add_waiter = getattr(self.interface, "add_waiter", None)
-        if add_waiter is None:
-            return False
-        add_waiter(self)
-        return True
-
     def _emit(self, words, cycle):
-        request = self.interface.submit(
-            words, cycle, slave=self.slave, flow=self.flow
-        )
+        request = self.interface.submit(words, cycle, slave=self.slave)
         if request is not None:
             self.messages_emitted += 1
             self.words_emitted += words
@@ -67,13 +51,12 @@ class SaturatingGenerator(TrafficGenerator):
         fresh request is always visible the cycle the previous completes).
     """
 
-    def __init__(self, name, interface, words, seed=0, depth=2, slave=0,
-                 flow=None):
-        super().__init__(name, interface, slave=slave, flow=flow)
+    def __init__(self, name, interface, words, seed=0, depth=2, slave=0):
+        super().__init__(name, interface, slave=slave)
         self.words = words
         self.depth = depth
         self._rng = RandomStream(seed, "saturating:" + name)
-        self._wakeable = self._wait_on_interface()
+        self.interface.add_waiter(self)
 
     state_children = ("_rng",)
 
@@ -86,10 +69,9 @@ class SaturatingGenerator(TrafficGenerator):
             return
         while self.interface.queue_depth < self.depth:
             self._emit(self.words.sample(self._rng), cycle)
-        if self._wakeable:
-            # Backlogged: nothing to do until the queue shrinks, and the
-            # interface wakes us when it does.
-            self.sleep()
+        # Backlogged: nothing to do until the queue shrinks, and the
+        # interface wakes us when it does.
+        self.sleep()
 
     def next_activity(self, cycle):
         # Backlogged up to depth: nothing to do until the bus drains a
@@ -114,16 +96,15 @@ class ClosedLoopGenerator(TrafficGenerator):
         (geometric; 0 = re-request immediately, pure saturation).
     """
 
-    def __init__(self, name, interface, words, mean_think=0, seed=0, slave=0,
-                 flow=None):
-        super().__init__(name, interface, slave=slave, flow=flow)
+    def __init__(self, name, interface, words, mean_think=0, seed=0, slave=0):
+        super().__init__(name, interface, slave=slave)
         if mean_think < 0:
             raise ValueError("mean_think must be non-negative")
         self.words = words
         self.mean_think = mean_think
         self._rng = RandomStream(seed, "closedloop:" + name)
         self._think = 0
-        self._wakeable = self._wait_on_interface()
+        self.interface.add_waiter(self)
 
     state_attrs = ("_think",)
     state_children = ("_rng",)
@@ -147,7 +128,7 @@ class ClosedLoopGenerator(TrafficGenerator):
         self._emit(self.words.sample(self._rng), cycle)
         if self.mean_think > 0:
             self._think = self._rng.geometric(1.0 / self.mean_think)
-        if self._wakeable and self.interface.queue_depth > 0:
+        if self.interface.queue_depth > 0:
             # Blocked on the bus: every tick is a no-op until the queue
             # shrinks, and the interface wakes us when it does.
             self.sleep()
@@ -173,9 +154,8 @@ class PoissonGenerator(TrafficGenerator):
     :param words: a words distribution.
     """
 
-    def __init__(self, name, interface, words, rate, seed=0, slave=0,
-                 flow=None):
-        super().__init__(name, interface, slave=slave, flow=flow)
+    def __init__(self, name, interface, words, rate, seed=0, slave=0):
+        super().__init__(name, interface, slave=slave)
         if not 0.0 < rate <= 1.0:
             raise ValueError("rate must lie in (0, 1]")
         self.words = words
@@ -226,8 +206,8 @@ class PeriodicGenerator(TrafficGenerator):
     """
 
     def __init__(self, name, interface, words, period, phase=0, seed=0,
-                 slave=0, flow=None):
-        super().__init__(name, interface, slave=slave, flow=flow)
+                 slave=0):
+        super().__init__(name, interface, slave=slave)
         if period < 1:
             raise ValueError("period must be >= 1")
         if phase < 0:
@@ -280,10 +260,9 @@ class OnOffGenerator(TrafficGenerator):
         mean_off,
         seed=0,
         slave=0,
-        flow=None,
         start_on=False,
     ):
-        super().__init__(name, interface, slave=slave, flow=flow)
+        super().__init__(name, interface, slave=slave)
         if not 0.0 < on_rate <= 1.0:
             raise ValueError("on_rate must lie in (0, 1]")
         if mean_on < 1 or mean_off < 1:

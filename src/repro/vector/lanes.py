@@ -16,8 +16,8 @@ Supported configurations (everything else falls back):
   policy, no queue bound) and plain :class:`~repro.bus.slave.Slave`
   slaves (wait states are fine);
 * :class:`~repro.traffic.generator.SaturatingGenerator` /
-  :class:`~repro.traffic.generator.ClosedLoopGenerator` sources without
-  flow labels (at most one per master);
+  :class:`~repro.traffic.generator.ClosedLoopGenerator` sources (at most
+  one per master);
 * lottery-family arbiters (static / dynamic / compensated) drawing from
   a hardware :class:`~repro.core.lfsr.LFSR`, plus the static-priority
   arbiter.
@@ -102,7 +102,6 @@ def _require(condition, reason):
 
 
 def _plan_generator(generator, master_index, num_slaves):
-    _require(generator.flow is None, "flow-labelled traffic")
     _require(
         0 <= generator.slave < num_slaves,
         "generator targets slave {} of {}".format(generator.slave,

@@ -73,9 +73,8 @@ def test_format_map(soc_map):
 def test_addressed_master_submits_decoded_slave(soc_map):
     interface = MasterInterface("cpu", 0)
     master = AddressedMaster(interface, soc_map)
-    request = master.submit(0x4000_0010, 2, cycle=0, flow="mmio")
+    request = master.submit(0x4000_0010, 2, cycle=0)
     assert request.slave == 1
-    assert request.flow == "mmio"
 
 
 def test_addressed_master_counts_decode_errors(soc_map):

@@ -126,19 +126,21 @@ def test_truncated_checkpoint_detected(tmp_path):
         system.simulator.load_checkpoint(str(path))
 
 
-def test_version_1_checkpoint_is_refused_before_restore(tmp_path):
+@pytest.mark.parametrize("version", [1, 2])
+def test_old_version_checkpoint_is_refused_before_restore(tmp_path, version):
     # Version 1 predates the one-latency-metric Request and LatencyStats
-    # layout; such a file must be refused whole, naming its version.
+    # layout, version 2 the flow-less Request; such a file must be
+    # refused whole, naming its version, and leave the state untouched.
     path = str(tmp_path / "bus.ckpt")
     system, bus = _build_system("lottery-compensated")
     system.run(700)
-    write_checkpoint(path, system.simulator.state_dict(), version=1)
+    write_checkpoint(path, system.simulator.state_dict(), version=version)
     system.run(300)
     before = pickle.dumps(system.simulator.state_dict())
     summary = bus.metrics.summary()
-    with pytest.raises(CheckpointError, match="version 1 "):
+    with pytest.raises(CheckpointError, match="version {} ".format(version)):
         system.load_checkpoint(path)
-    assert CHECKPOINT_VERSION == 2
+    assert CHECKPOINT_VERSION == 3
     assert system.simulator.cycle == 1_000
     assert bus.metrics.summary() == summary
     assert pickle.dumps(system.simulator.state_dict()) == before

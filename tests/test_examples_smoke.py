@@ -30,14 +30,6 @@ def test_quickstart():
     assert "utilization" in result.stdout
 
 
-def test_export_rtl(tmp_path):
-    out = tmp_path / "manager.v"
-    result = run_example("export_rtl.py", str(out))
-    assert result.returncode == 0, result.stderr
-    assert "256 (map, draw) points checked OK" in result.stdout
-    assert out.read_text().startswith("// Generated by")
-
-
 def test_bandwidth_provisioning():
     result = run_example("bandwidth_provisioning.py")
     assert result.returncode == 0, result.stderr
@@ -54,9 +46,6 @@ def test_bandwidth_provisioning():
         "dynamic_qos.py",
         "hierarchical_soc.py",
         "traffic_space.py",
-        "flow_qos.py",
-        "config_driven.py",
-        "export_rtl.py",
     ],
 )
 def test_every_example_compiles(name):

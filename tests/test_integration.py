@@ -6,7 +6,6 @@ from repro.arbiters.registry import available_arbiters, make_arbiter
 from repro.bus.topology import build_single_bus_system
 from repro.core.starvation import expected_bandwidth_shares
 from repro.traffic.classes import get_traffic_class
-from repro.traffic.trace import Trace, TraceReplayGenerator
 
 
 def run(arbiter_name, traffic="T8", cycles=20_000, seed=2, **kwargs):
@@ -71,27 +70,6 @@ def test_no_starvation_under_lottery():
     for master in range(4):
         assert metrics.masters[master].words > 0
         assert metrics.masters[master].latency.messages > 0
-
-
-def test_trace_replay_equalizes_offered_traffic_across_arbiters():
-    trace = Trace.capture(get_traffic_class("T6"), cycles=20_000, seed=5)
-    observed = []
-    for name in ("tdma", "lottery-static"):
-        arbiter = make_arbiter(name, 4, [1, 2, 3, 4])
-        system, bus = build_single_bus_system(4, arbiter)
-        for master_id in range(4):
-            system.add_generator(
-                TraceReplayGenerator(
-                    "replay{}".format(master_id),
-                    bus.masters[master_id],
-                    trace,
-                    master_id,
-                )
-            )
-        system.run(40_000)
-        observed.append(bus.metrics.total_words)
-    # Identical offered traffic: both arbiters carried the same words.
-    assert observed[0] == observed[1] == trace.total_words()
 
 
 def test_utilization_never_exceeds_one():

@@ -13,7 +13,6 @@ from repro.bus.slave import Slave
 from repro.bus.topology import build_single_bus_system
 from repro.metrics.histogram import LatencyDistribution
 from repro.sim.kernel import Simulator
-from repro.soc.dma import DmaDescriptor, DmaEngine
 from repro.traffic.classes import get_traffic_class
 
 
@@ -32,12 +31,12 @@ def test_preemptive_lottery_bus_with_checker():
     assert checker.worst_wait < 3000
 
 
-def test_dma_through_address_map_on_lottery_bus():
+def test_addressed_submissions_route_to_the_decoded_slave():
     address_map = AddressMap()
     address_map.add_region("sram", 0x0000, 0x10000, slave=0)
     address_map.add_region("dram", 0x8000_0000, 0x10000, slave=1)
 
-    interface = MasterInterface("dma.if", 0)
+    interface = MasterInterface("cpu.if", 0)
     arbiter = StaticLotteryArbiter(tickets=[1])
     bus = SharedBus(
         "bus",
@@ -45,18 +44,16 @@ def test_dma_through_address_map_on_lottery_bus():
         arbiter,
         slaves=[Slave("sram", 0), Slave("dram", 1)],
     )
-    dma = DmaEngine("dma", interface, chunk_words=8)
-    dma.attach(bus)
     addressed = AddressedMaster(interface, address_map)
 
-    # Program the DMA toward slave indices derived from addresses.
-    target = address_map.decode_burst(0x8000_0000, 8)
-    dma.program([DmaDescriptor(24, slave=target)])
+    # Three 8-word bursts into the DRAM window, routed by address alone.
+    for chunk in range(3):
+        addressed.submit(0x8000_0000 + chunk * 32, 8, cycle=0)
     sim = Simulator()
-    sim.add(dma)
     sim.add(bus)
     sim.run(60)
     assert bus.slaves[1].words_served == 24
+    assert bus.slaves[0].words_served == 0
     assert addressed.decode_errors == 0
 
 
@@ -85,38 +82,6 @@ def test_lottery_network_with_histograms():
     rows = distribution.summary_rows()
     assert rows[0][1] == 10
     assert rows[1][1] == 10
-
-
-def test_soc_config_with_compensated_arbiter():
-    from repro.soc import build_system
-
-    spec = {
-        "bus": {
-            "arbiter": "lottery-compensated",
-            "weights": [1, 1],
-            "arbiter_options": {"max_burst": 16},
-        },
-        "masters": [
-            {
-                "name": "small",
-                "traffic": {
-                    "kind": "closedloop",
-                    "words": {"kind": "fixed", "words": 2},
-                },
-            },
-            {
-                "name": "large",
-                "traffic": {
-                    "kind": "closedloop",
-                    "words": {"kind": "fixed", "words": 16},
-                },
-            },
-        ],
-    }
-    system, bus = build_system(spec)
-    system.run(40_000)
-    shares = bus.metrics.bandwidth_shares()
-    assert shares[0] == pytest.approx(0.5, abs=0.05)
 
 
 def test_weighted_rr_vs_lottery_same_shares():

@@ -14,9 +14,9 @@ FIXTURES = os.path.join(REPO_ROOT, "tests", "fixtures", "lint")
 SRC = os.path.join(REPO_ROOT, "src")
 
 
-def run_lint(*args, cwd=REPO_ROOT):
+def run_lint(*args, cwd=REPO_ROOT, src=SRC):
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "repro.lint"] + list(args),
         cwd=cwd,
@@ -236,11 +236,20 @@ def test_lint_file_api_matches_cli(tmp_path):
 
 
 def test_incremental_cache_warms_to_identical_findings(tmp_path):
+    # Lint a private copy of the tree, so a file saved in the checkout
+    # between the cold and the warm run cannot count as a cache miss.
+    tree = tmp_path / "tree"
+    skip = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in ("src", "tests"):
+        shutil.copytree(os.path.join(REPO_ROOT, name), str(tree / name),
+                        ignore=skip)
+    shutil.copy(os.path.join(REPO_ROOT, "lint-baseline.json"), str(tree))
+    lint = dict(cwd=str(tree), src=str(tree / "src"))
     cache = str(tmp_path / "cache.json")
-    cold = run_lint("--cache-file", cache, "src/", "tests/")
+    cold = run_lint("--cache-file", cache, "src/", "tests/", **lint)
     assert cold.returncode == 0, cold.stdout + cold.stderr
     assert "0.0% warm" in cold.stderr
-    warm = run_lint("--cache-file", cache, "src/", "tests/")
+    warm = run_lint("--cache-file", cache, "src/", "tests/", **lint)
     assert warm.returncode == 0, warm.stdout + warm.stderr
     assert warm.stdout == cold.stdout  # byte-identical findings
     # Nothing changed, so every per-file result must come from cache.

@@ -1,42 +1,13 @@
 """Property-based tests (hypothesis) for the extension modules."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.atm.header import decode_header, encode_header, verify
 from repro.core.compensation import CompensationPolicy
 from repro.core.energy_model import estimate_run_energy
-from repro.core.flows import FlowLotteryManager, FlowTicketTable
 from repro.core.hardware_model import estimate_static_manager
-from repro.core.rtl_export import StaticLotteryRtl, evaluate_reference_model
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.stats import confidence_interval, mean
-
-
-@given(
-    vpi=st.integers(min_value=0, max_value=255),
-    vci=st.integers(min_value=0, max_value=0xFFFF),
-    pt=st.integers(min_value=0, max_value=7),
-    clp=st.integers(min_value=0, max_value=1),
-    gfc=st.integers(min_value=0, max_value=15),
-)
-def test_header_encode_decode_round_trip(vpi, vci, pt, clp, gfc):
-    header = encode_header(vpi=vpi, vci=vci, pt=pt, clp=clp, gfc=gfc)
-    assert verify(header)
-    fields = decode_header(header)
-    assert fields == {"gfc": gfc, "vpi": vpi, "vci": vci, "pt": pt, "clp": clp}
-
-
-@given(
-    vpi=st.integers(min_value=0, max_value=255),
-    vci=st.integers(min_value=0, max_value=0xFFFF),
-    octet=st.integers(min_value=0, max_value=4),
-    bit=st.integers(min_value=0, max_value=7),
-)
-def test_header_detects_any_single_bit_flip(vpi, vci, octet, bit):
-    header = encode_header(vpi=vpi, vci=vci)
-    header[octet] ^= 1 << bit
-    assert not verify(header)
 
 
 @given(
@@ -58,42 +29,6 @@ def test_compensation_holdings_always_valid(tickets, bursts, data):
         # A full-quantum user is never inflated above its base holding.
         if burst >= 16:
             assert holdings[master] == tickets[master]
-
-
-@given(
-    flows=st.dictionaries(
-        st.sampled_from(["a", "b", "c", "d"]),
-        st.integers(min_value=1, max_value=50),
-        min_size=1,
-    ),
-    heads=st.lists(
-        st.one_of(st.none(), st.sampled_from(["a", "b", "c", "d", "other"])),
-        min_size=1,
-        max_size=6,
-    ),
-)
-def test_flow_lottery_winner_is_always_pending(flows, heads):
-    manager = FlowLotteryManager(FlowTicketTable(flows), lfsr_seed=7)
-    winner = manager.draw(heads)
-    if all(flow is None for flow in heads):
-        assert winner is None
-    else:
-        assert heads[winner] is not None
-
-
-@settings(max_examples=20)
-@given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=4))
-def test_rtl_reference_model_equals_python_for_random_tickets(tickets):
-    from repro.core.lottery_manager import StaticLotteryManager, select_winner
-
-    rtl = StaticLotteryRtl(tickets)
-    manager = StaticLotteryManager(tickets)
-    request_map = [True] * len(tickets)
-    sums = manager.table.partial_sums(request_map)
-    for draw in range(0, rtl.total, max(1, rtl.total // 16)):
-        assert evaluate_reference_model(rtl, request_map, draw) == (
-            select_winner(draw, sums)
-        )
 
 
 @given(

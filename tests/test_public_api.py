@@ -27,7 +27,6 @@ def test_all_names_resolve():
         "repro.metrics",
         "repro.faults",
         "repro.atm",
-        "repro.soc",
         "repro.experiments",
     ],
 )
@@ -46,7 +45,7 @@ def test_docstring_coverage_of_public_modules():
     packages = [
         "repro.sim", "repro.bus", "repro.arbiters", "repro.core",
         "repro.traffic", "repro.metrics", "repro.faults", "repro.atm",
-        "repro.soc", "repro.experiments",
+        "repro.experiments",
     ]
     for module_name in packages:
         package = importlib.import_module(module_name)

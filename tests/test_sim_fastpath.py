@@ -12,7 +12,6 @@ import pickle
 
 import pytest
 
-from repro.arbiters.flow_lottery import FlowLotteryArbiter
 from repro.arbiters.lottery import (
     CompensatedLotteryArbiter,
     DynamicLotteryArbiter,
@@ -43,9 +42,6 @@ ARBITERS = {
     "lottery-static": lambda: StaticLotteryArbiter(tickets=[1, 2, 3, 4]),
     "lottery-dynamic": lambda: DynamicLotteryArbiter(tickets=[1, 2, 3, 4]),
     "lottery-compensated": lambda: CompensatedLotteryArbiter([1, 2, 3, 4]),
-    "lottery-flow": lambda: FlowLotteryArbiter(
-        NUM_MASTERS, {"ctrl": 3, "bulk": 1}
-    ),
     "tdma-scan": lambda: TdmaArbiter.from_slot_counts([2, 1, 1, 2]),
     "tdma-single": lambda: TdmaArbiter.from_slot_counts(
         [2, 1, 1, 2], reclaim="single"
@@ -60,22 +56,19 @@ ARBITERS = {
 }
 
 
-def _poisson_factory(index, master, flow=False):
+def _poisson_factory(index, master):
     return PoissonGenerator(
         "gen{}".format(index),
         master,
         FixedWords(4),
         0.005,
         seed=31 + index,
-        flow=("ctrl" if index % 2 else "bulk") if flow else None,
     )
 
 
-def _run_system(make_arbiter, mode, flow=False, cycles=CYCLES):
+def _run_system(make_arbiter, mode, cycles=CYCLES):
     system, bus = build_single_bus_system(
-        NUM_MASTERS,
-        make_arbiter(),
-        generator_factory=lambda i, m: _poisson_factory(i, m, flow=flow),
+        NUM_MASTERS, make_arbiter(), generator_factory=_poisson_factory
     )
     system.simulator.mode = mode
     system.run(cycles)
@@ -91,9 +84,8 @@ def _capture(system, bus):
 
 @pytest.mark.parametrize("name", sorted(ARBITERS))
 def test_fast_matches_dense_per_arbiter(name):
-    flow = name == "lottery-flow"
-    fast_system, fast_bus = _run_system(ARBITERS[name], "fast", flow=flow)
-    dense_system, dense_bus = _run_system(ARBITERS[name], "dense", flow=flow)
+    fast_system, fast_bus = _run_system(ARBITERS[name], "fast")
+    dense_system, dense_bus = _run_system(ARBITERS[name], "dense")
 
     fast_summary, fast_state = _capture(fast_system, fast_bus)
     dense_summary, dense_state = _capture(dense_system, dense_bus)

@@ -197,22 +197,6 @@ def test_interface_holds_its_waiters_weakly():
 # -- generators sleep while blocked ------------------------------------------
 
 
-class DuckInterface:
-    """Just enough of a master interface for a generator to submit to,
-    without a waiter list: nothing would ever wake a sleeper."""
-
-    def __init__(self):
-        self.queue = []
-
-    @property
-    def queue_depth(self):
-        return len(self.queue)
-
-    def submit(self, words, cycle, slave=0, flow=None):
-        self.queue.append(words)
-        return words
-
-
 @pytest.mark.parametrize("make", [
     lambda i: ClosedLoopGenerator("gen", i, FixedWords(4)),
     lambda i: SaturatingGenerator("gen", i, FixedWords(4)),
@@ -221,13 +205,6 @@ def test_generator_sleeps_only_on_an_interface_that_can_wake_it(make):
     generator = make(MasterInterface("m", 0))
     generator.tick(0)
     assert generator._asleep
-
-    duck = DuckInterface()
-    generator = make(duck)
-    for cycle in range(3):
-        generator.tick(cycle)
-        assert not generator._asleep
-    assert duck.queue_depth >= 1
 
 
 class CountingClosedLoop(ClosedLoopGenerator):

@@ -120,32 +120,6 @@ def test_closed_loop_offered_load():
     assert gen.offered_load() == pytest.approx(0.5)
 
 
-def test_generators_stamp_flow_labels():
-    interface = MasterInterface("m", 0, max_queue=100)
-    gen = ClosedLoopGenerator(
-        "g", interface, FixedWords(2), 0, flow="video"
-    )
-    drive(gen, 1)
-    assert interface.head().flow == "video"
-
-
-def test_config_traffic_accepts_flow():
-    from repro.soc.config import build_traffic_source
-
-    interface = MasterInterface("m", 0)
-    source = build_traffic_source(
-        {
-            "kind": "closedloop",
-            "words": {"kind": "fixed", "words": 4},
-            "flow": "rt",
-        },
-        "g",
-        interface,
-        seed=1,
-    )
-    assert source.flow == "rt"
-
-
 def test_generators_reset_reproducibly():
     interface = MasterInterface("m", 0, max_queue=10 ** 9)
     gen = PoissonGenerator("g", interface, UniformWords(1, 8), rate=0.3, seed=4)
