@@ -45,6 +45,7 @@ from repro.core.lottery_manager import (
     StaticLotteryManager,
 )
 from repro.experiments.table1 import ARCHITECTURES, TABLE1_WEIGHTS, table1_workload
+from repro.sim.rng import RandomStream
 from repro.traffic.generator import PoissonGenerator, SaturatingGenerator
 from repro.traffic.message import FixedWords
 
@@ -241,9 +242,13 @@ SCENARIOS = (
 # the dynamic manager's (16 bits), and one lottery per call on each
 # manager, cycling through every non-empty request map of 4 masters.
 # The compensated manager also takes each draw's grant feedback, with
-# burst sizes cycling through 1..16 words.  An entry's fingerprint (the
-# final register or manager state, plus the wins per master) must repeat
-# across repeats, like a scenario's.
+# burst sizes cycling through 1..16 words.  ``bernoulli_run`` is a
+# Poisson source's pre-draw at ``table1_lowutil``'s rate: one
+# ``RandomStream.failures(0.001)`` per call, about 1000 trials each, so
+# it makes 1/100 as many calls and reports trials per second.  An
+# entry's fingerprint (the final register, manager or stream state,
+# plus the wins per master) must repeat across repeats, like a
+# scenario's.
 DRAW_COUNTS = (200_000, 20_000)  # (full, quick) calls per entry
 DRAW_TICKETS = (1, 2, 3, 4)
 
@@ -253,7 +258,7 @@ def _run_lfsr_samples(width, count):
     sample = lfsr.sample
     for _ in range(count):
         sample()
-    return lfsr.state
+    return count, lfsr.state
 
 
 def _run_manager_draws(make_manager, count):
@@ -266,20 +271,31 @@ def _run_manager_draws(make_manager, count):
         wins[winner] += 1
         if compensated:
             manager.note_grant(winner, call % 16 + 1)
-    return wins, manager.state_dict()
+    return count, (wins, manager.state_dict())
 
 
-# (name, runner, runner's first argument, rate key)
+def _run_bernoulli_runs(p, count):
+    stream = RandomStream(1, "bernoulli")
+    failures = stream.failures
+    trials = count
+    for _ in range(count):
+        trials += failures(p)
+    return trials, stream.state_dict()
+
+
+# (name, runner, runner's first argument, rate key, calls divisor).  A
+# runner returns (units its rate counts, state to fingerprint).
 DRAWS = (
-    ("lfsr_sample_w12", _run_lfsr_samples, 12, "samples_per_second"),
-    ("lfsr_sample_w16", _run_lfsr_samples, 16, "samples_per_second"),
+    ("lfsr_sample_w12", _run_lfsr_samples, 12, "samples_per_second", 1),
+    ("lfsr_sample_w16", _run_lfsr_samples, 16, "samples_per_second", 1),
     ("static_manager", _run_manager_draws, StaticLotteryManager,
-     "draws_per_second"),
+     "draws_per_second", 1),
     ("dynamic_manager", _run_manager_draws, DynamicLotteryManager,
-     "draws_per_second"),
+     "draws_per_second", 1),
     ("compensated_manager", _run_manager_draws,
      functools.partial(CompensatedLotteryManager, max_burst=16),
-     "draws_per_second"),
+     "draws_per_second", 1),
+    ("bernoulli_run", _run_bernoulli_runs, 0.001, "trials_per_second", 100),
 )
 
 
@@ -290,13 +306,14 @@ def _digest(value):
 def _draws_section(quick, repeats):
     count = DRAW_COUNTS[1] if quick else DRAW_COUNTS[0]
     entries = []
-    for name, runner, argument, key in DRAWS:
-        wall, _, mark = _best_of(
-            functools.partial(runner, argument, count), repeats,
-            fingerprint=_digest,
+    for name, runner, argument, key, divisor in DRAWS:
+        calls = count // divisor
+        wall, (units, _), mark = _best_of(
+            functools.partial(runner, argument, calls), repeats,
+            fingerprint=lambda value: _digest(value[1]),
         )
-        entry = {"name": name, "calls": count}
-        entry.update(_throughput(wall, count, key))
+        entry = {"name": name, "calls": calls}
+        entry.update(_throughput(wall, units, key))
         entry["fingerprint"] = mark
         entries.append(entry)
     return entries

@@ -119,16 +119,37 @@ class RandomStream:
     def geometric(self, p):
         """Geometric variate: number of Bernoulli(p) trials to first success.
 
-        Returns an integer >= 1.  ``p`` must lie in (0, 1].
+        Returns an integer >= 1.  ``p`` must lie in (0, 1].  ``p == 1.0``
+        draws nothing; otherwise this is ``failures(p) + 1``.
+        """
+        if p == 1.0:
+            return 1
+        return self.failures(p) + 1
+
+    def failures(self, p):
+        """Failed Bernoulli(``p``) trials before the first success.
+
+        Draws exactly one uniform per trial, the success included, so
+        the stream ends where a per-trial ``random() < p`` loop would
+        and ``p == 1.0`` still draws once.  ``p`` must lie in (0, 1].
+        The loop is unrolled by four and calls ``random`` on a local
+        (binding ``rng.random`` once would cost more than it saves on
+        the short runs :meth:`geometric` makes).
         """
         if not 0.0 < p <= 1.0:
             raise ValueError("p must be in (0, 1], got {}".format(p))
-        if p == 1.0:
-            return 1
-        count = 1
-        while self._rng.random() >= p:
-            count += 1
-        return count
+        rng = self._rng
+        count = 0
+        while True:
+            if rng.random() < p:
+                return count
+            if rng.random() < p:
+                return count + 1
+            if rng.random() < p:
+                return count + 2
+            if rng.random() < p:
+                return count + 3
+            count += 4
 
     def __repr__(self):
         return "RandomStream(seed={}, purpose={!r})".format(self.seed, self.purpose)

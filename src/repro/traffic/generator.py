@@ -182,10 +182,7 @@ class PoissonGenerator(TrafficGenerator):
         # therefore stays bit-identical to cycle-by-cycle evaluation and
         # checkpoints agree regardless of simulator mode.
         if self._next_arrival is None:
-            gap = 0
-            while self._rng.random() >= self.rate:
-                gap += 1
-            self._next_arrival = cycle + gap
+            self._next_arrival = cycle + self._rng.failures(self.rate)
         return self._next_arrival
 
     def tick(self, cycle):

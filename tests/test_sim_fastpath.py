@@ -9,8 +9,11 @@ about their quiescence.
 """
 
 import pickle
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.arbiters.lottery import (
     CompensatedLotteryArbiter,
@@ -158,6 +161,66 @@ def test_generator_contracts_match_dense(kind):
         if mode == "fast":
             assert system.simulator.skipped_cycles > 0
     assert captures["fast"] == captures["dense"]
+
+
+# -- Poisson arrivals pre-drawn as Bernoulli runs ----------------------------
+
+#: Per-master arrival rates: every cycle, the benchmark's sparse rate,
+#: and anything in between.
+POISSON_RATES = st.one_of(
+    st.sampled_from([1.0, 0.001]), st.floats(min_value=0.001, max_value=1.0)
+)
+
+
+def _poisson_system(rates, seed, mode):
+    def factory(index, master):
+        return PoissonGenerator("gen{}".format(index), master, FixedWords(4),
+                                rates[index], seed=seed + index)
+
+    system, bus = build_single_bus_system(
+        NUM_MASTERS, ARBITERS["lottery-static"](), generator_factory=factory
+    )
+    system.simulator.mode = mode
+    return system, bus
+
+
+@settings(max_examples=8, deadline=None)
+@given(rates=st.lists(POISSON_RATES, min_size=NUM_MASTERS,
+                      max_size=NUM_MASTERS),
+       seed=st.integers(min_value=0, max_value=2**16))
+@example(rates=[1.0, 0.001, 0.001, 1.0], seed=0)
+def test_poisson_rates_run_fast_equals_dense_equals_strict(rates, seed):
+    captures = []
+    for mode in ("fast", "dense", "strict"):
+        system, bus = _poisson_system(rates, seed, mode)
+        system.run(1500)
+        captures.append(_capture(system, bus))
+    assert captures[0] == captures[1] == captures[2]
+
+
+@pytest.mark.parametrize("mode", ["fast", "dense"])
+def test_checkpoint_mid_gap_resumes_like_a_straight_run(mode, tmp_path):
+    rates = [0.001, 0.004, 0.01, 0.002]
+    path = str(tmp_path / "gap.ckpt")
+    straight, straight_bus = _poisson_system(rates, 7, mode)
+    straight.run(6000)
+
+    first, _ = _poisson_system(rates, 7, mode)
+    first.run(3000)
+    # Not vacuous: some source is between arrivals, its next one already
+    # drawn and its stream advanced past the trials that drew it.
+    assert any(
+        gen._next_arrival is not None and gen._next_arrival > 3000
+        and gen._rng.state_dict()["random"]
+        != random.Random(gen._rng.seed).getstate()
+        for gen in first.generators
+    )
+    first.save_checkpoint(path)
+
+    resumed, resumed_bus = _poisson_system(rates, 7, mode)
+    assert resumed.load_checkpoint(path) == 3000
+    resumed.run(3000)
+    assert _capture(resumed, resumed_bus) == _capture(straight, straight_bus)
 
 
 # -- fault injection under skip-ahead ---------------------------------------

@@ -1,8 +1,20 @@
 """Tests for seeded random streams."""
 
+import math
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RandomStream, derive_seed
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+#: Success probabilities: the sparse Poisson rate, certainty, and any
+#: value in between (bounded below so a run stays short).
+PROBABILITIES = st.one_of(
+    st.just(1e-4), st.just(1.0), st.floats(min_value=1e-4, max_value=1.0)
+)
 
 
 def test_same_seed_same_sequence():
@@ -60,6 +72,56 @@ def test_geometric_rejects_bad_p():
         stream.geometric(0.0)
     with pytest.raises(ValueError):
         stream.geometric(1.5)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, math.nan])
+def test_failures_rejects_bad_p_without_drawing(p):
+    # p <= 0 (or NaN) would otherwise loop forever.
+    stream = RandomStream(5)
+    before = stream.state_dict()
+    with pytest.raises(ValueError):
+        stream.failures(p)
+    assert stream.state_dict() == before
+
+
+def _reference_failures(rng, p):
+    # The definition: one uniform per Bernoulli trial, success included.
+    count = 0
+    while rng.random() >= p:
+        count += 1
+    return count
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, p=PROBABILITIES)
+@example(seed=0, p=1e-4)
+@example(seed=0, p=1.0)
+def test_failures_matches_a_per_trial_loop_draw_for_draw(seed, p):
+    stream = RandomStream(seed, "bernoulli")
+    reference = random.Random(stream.seed)
+    runs = [stream.failures(p) for _ in range(3)]
+    assert runs == [_reference_failures(reference, p) for _ in range(3)]
+    assert stream.state_dict()["random"] == reference.getstate()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, p=PROBABILITIES.filter(lambda p: p < 1.0))
+@example(seed=0, p=1e-4)
+def test_geometric_is_failures_plus_one_with_identical_state(seed, p):
+    geometric = RandomStream(seed, "g")
+    failures = RandomStream(seed, "g")
+    for _ in range(3):
+        assert geometric.geometric(p) == failures.failures(p) + 1
+    assert geometric.state_dict() == failures.state_dict()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS)
+def test_geometric_of_one_draws_nothing(seed):
+    stream = RandomStream(seed, "g")
+    before = stream.state_dict()
+    assert stream.geometric(1.0) == 1
+    assert stream.state_dict() == before
 
 
 def test_splitmix64_reference_sequence():

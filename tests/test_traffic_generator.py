@@ -1,5 +1,7 @@
 """Tests for the traffic generators."""
 
+import random
+
 import pytest
 
 from repro.bus.master import MasterInterface
@@ -38,6 +40,20 @@ def test_poisson_rate_controls_message_count():
     drive(gen, 10_000)
     assert gen.messages_emitted == pytest.approx(2000, rel=0.1)
     assert gen.offered_load() == pytest.approx(0.2)
+
+
+def test_poisson_at_rate_one_draws_one_uniform_per_arrival():
+    # Every cycle is an arrival, and each one is still a Bernoulli trial
+    # that consumes its uniform (FixedWords draws nothing), so the stream
+    # stays where dense per-cycle trials leave it at any rate.
+    interface = MasterInterface("m", 0, max_queue=10 ** 9)
+    gen = PoissonGenerator("g", interface, FixedWords(1), rate=1.0, seed=3)
+    reference = random.Random(gen._rng.seed)
+    for cycle in range(50):
+        gen.tick(cycle)
+        reference.random()
+    assert gen.messages_emitted == 50
+    assert gen._rng.state_dict()["random"] == reference.getstate()
 
 
 def test_poisson_rate_validation():
