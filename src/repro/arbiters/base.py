@@ -1,5 +1,6 @@
 """The arbiter interface."""
 
+from repro.bus.transaction import Grant
 from repro.sim.snapshot import Snapshottable
 
 
@@ -30,10 +31,15 @@ class Arbiter(Snapshottable):
     #: to skip over arbiters that keep the default False.
     supports_idle_skip = False
 
-    def __init__(self, num_masters):
+    def __init__(self, num_masters, max_words=None):
         if num_masters < 1:
             raise ValueError("need at least one master")
         self.num_masters = num_masters
+        # One immutable grant per master, handed out by index: arbiters
+        # whose grant depends only on the winner allocate none per round.
+        self._grants = tuple(
+            Grant(master, max_words) for master in range(num_masters)
+        )
 
     def arbitrate(self, cycle, pending):
         raise NotImplementedError

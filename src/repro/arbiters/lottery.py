@@ -1,7 +1,6 @@
 """LOTTERYBUS arbiters: thin bus-protocol wrappers over the managers."""
 
 from repro.arbiters.base import Arbiter
-from repro.bus.transaction import Grant
 from repro.core.lottery_manager import DynamicLotteryManager, StaticLotteryManager
 
 
@@ -37,7 +36,7 @@ class _LotteryArbiter(Arbiter):
         if outcome is None or outcome.winner is None:
             # No requests, or a rejection-policy draw missed every range.
             return None
-        return Grant(outcome.winner)
+        return self._grants[outcome.winner]
 
 
 class StaticLotteryArbiter(_LotteryArbiter):

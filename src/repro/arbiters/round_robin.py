@@ -1,7 +1,6 @@
 """Round-robin arbitration (mentioned in Section 2 as a common protocol)."""
 
 from repro.arbiters.base import Arbiter
-from repro.bus.transaction import Grant
 
 
 class RoundRobinArbiter(Arbiter):
@@ -32,5 +31,5 @@ class RoundRobinArbiter(Arbiter):
             master = (self._last + offset) % self.num_masters
             if pending[master]:
                 self._last = master
-                return Grant(master)
+                return self._grants[master]
         return None

@@ -6,7 +6,6 @@ priority among the requesting masters."
 """
 
 from repro.arbiters.base import Arbiter
-from repro.bus.transaction import Grant
 
 
 class StaticPriorityArbiter(Arbiter):
@@ -38,7 +37,7 @@ class StaticPriorityArbiter(Arbiter):
         self._check_pending(pending)
         for master in self._order:
             if pending[master]:
-                return Grant(master)
+                return self._grants[master]
         return None
 
     def vector_profile(self):

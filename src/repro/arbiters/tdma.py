@@ -15,7 +15,6 @@ behaviour Figure 5 and Figure 12(b) demonstrate.
 """
 
 from repro.arbiters.base import Arbiter
-from repro.bus.transaction import Grant
 
 
 class TdmaArbiter(Arbiter):
@@ -50,7 +49,8 @@ class TdmaArbiter(Arbiter):
     )
 
     def __init__(self, num_masters, slots, reclaim="scan"):
-        super().__init__(num_masters)
+        # Every grant is a single-word slot.
+        super().__init__(num_masters, max_words=1)
         slots = [int(s) for s in slots]
         if not slots:
             raise ValueError("the timing wheel needs at least one slot")
@@ -116,19 +116,19 @@ class TdmaArbiter(Arbiter):
         self._position = (self._position + 1) % len(self.slots)
         if pending[owner]:
             self.level_one_grants += 1
-            return Grant(owner, max_words=1)
+            return self._grants[owner]
         if self.reclaim == "scan":
             for offset in range(1, self.num_masters + 1):
                 master = (self._rr + offset) % self.num_masters
                 if pending[master]:
                     self._rr = master
                     self.level_two_grants += 1
-                    return Grant(master, max_words=1)
+                    return self._grants[master]
         elif self.reclaim == "single":
             candidate = (self._rr + 1) % self.num_masters
             self._rr = candidate
             if pending[candidate]:
                 self.level_two_grants += 1
-                return Grant(candidate, max_words=1)
+                return self._grants[candidate]
         self.wasted_slots += 1
         return None

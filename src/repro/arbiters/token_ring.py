@@ -7,7 +7,6 @@ latency under sparse traffic.
 """
 
 from repro.arbiters.base import Arbiter
-from repro.bus.transaction import Grant
 
 
 class TokenRingArbiter(Arbiter):
@@ -62,7 +61,7 @@ class TokenRingArbiter(Arbiter):
         )
         if pending[self._holder] and not exhausted:
             self._consecutive += 1
-            return Grant(self._holder)
+            return self._grants[self._holder]
         # Token hop: one cycle, no grant this round.
         self._pass_token()
         return None

@@ -20,17 +20,6 @@ class BusProtocolError(RuntimeError):
     """Raised when an arbiter violates the bus protocol."""
 
 
-class _ActiveBurst:
-    """Bookkeeping for the burst currently holding the bus."""
-
-    __slots__ = ("request", "words_left", "slave")
-
-    def __init__(self, request, words_left, slave):
-        self.request = request
-        self.words_left = words_left
-        self.slave = slave
-
-
 class SharedBus(Component):
     """A single shared channel connecting masters to slaves.
 
@@ -38,10 +27,13 @@ class SharedBus(Component):
     :param masters: list of :class:`~repro.bus.master.MasterInterface`,
         indexed by master id.  The interface is the bus's one master
         protocol: the bus reads ``master_id``, ``retry_policy`` and
-        ``pending_words``, and calls ``head``, ``service``, ``retire``,
-        ``complete_with_error``, ``next_activity``, ``reset``,
-        ``state_dict`` and ``load_state_dict``, with no fallback for a
-        master that lacks one.
+        ``queue`` (once, at construction: the head request's
+        ``remaining`` words are the arbiter's view, so the deque must
+        stay the same object for the master's lifetime), and calls
+        ``service``, ``retire``, ``complete_with_error``,
+        ``next_activity``, ``reset``, ``state_dict`` and
+        ``load_state_dict``, with no fallback for a master that lacks
+        one.
     :param slaves: list of :class:`~repro.bus.slave.Slave`, indexed by
         slave id; a default zero-wait slave is created if omitted.
     :param arbiter: an :class:`~repro.arbiters.base.Arbiter`.
@@ -104,7 +96,11 @@ class SharedBus(Component):
         self.bus_timeout = bus_timeout
         self.injector = None
         self.metrics = metrics or MetricsCollector(len(self.masters))
+        # The burst holding the bus: its request (None while the bus is
+        # free), the words its grant has left and its slave.
         self._burst = None
+        self._burst_left = 0
+        self._burst_slave = None
         self._stall = 0
         self._stall_run = 0
         for index, master in enumerate(self.masters):
@@ -121,6 +117,8 @@ class SharedBus(Component):
             master for master in self.masters
             if master.retry_policy is not None
         ]
+        # Each master's request deque, read directly every arbitration.
+        self._queues = [master.queue for master in self.masters]
 
     def add_completion_hook(self, hook, key=None):
         """Register ``hook(request, cycle)`` called as requests complete.
@@ -183,19 +181,22 @@ class SharedBus(Component):
     state_children = ("arbiter", "metrics")
     # Wiring, not runtime state: completion hooks are callables
     # re-registered by whoever builds the system (unpicklable in
-    # general), and _serviced_masters is a derived view of self.masters,
-    # whose contents snapshot through the "masters" section above.
-    state_exclude = ("_completion_hooks", "_hook_keys", "_serviced_masters")
+    # general), and _serviced_masters and _queues are derived views of
+    # self.masters, whose contents snapshot through the "masters"
+    # section above (a master restores its queue in place).
+    state_exclude = (
+        "_completion_hooks", "_hook_keys", "_serviced_masters", "_queues",
+    )
 
     def state_dict(self):
         state = default_state_dict(self)
         state["masters"] = [master.state_dict() for master in self.masters]
         state["slaves"] = [slave.state_dict() for slave in self.slaves]
-        burst = self._burst
+        request = self._burst
         state["burst"] = (
             None
-            if burst is None
-            else {"request": burst.request, "words_left": burst.words_left}
+            if request is None
+            else {"request": request, "words_left": self._burst_left}
         )
         return state
 
@@ -232,9 +233,9 @@ class SharedBus(Component):
             self._burst = None
         else:
             request = burst_state["request"]
-            self._burst = _ActiveBurst(
-                request, burst_state["words_left"], self.slaves[request.slave]
-            )
+            self._burst = request
+            self._burst_left = burst_state["words_left"]
+            self._burst_slave = self.slaves[request.slave]
 
     @property
     def busy(self):
@@ -249,14 +250,14 @@ class SharedBus(Component):
         """
         if cycle is None or not self.split_transactions:
             # Only split transactions ever park a request.
-            return [master.pending_words for master in self.masters]
+            return [q[0].remaining if q else 0 for q in self._queues]
         pending = []
-        for master in self.masters:
-            words = master.pending_words
-            if words:
-                head = master.head()
-                if head.parked_until is not None and head.parked_until > cycle:
-                    words = 0
+        for queue in self._queues:
+            words = 0
+            if queue:
+                head = queue[0]
+                if head.parked_until is None or head.parked_until <= cycle:
+                    words = head.remaining
             pending.append(words)
         return pending
 
@@ -340,8 +341,7 @@ class SharedBus(Component):
                     grant.master, cycle
                 )
             )
-        master = self.masters[grant.master]
-        request = master.head()
+        request = self._queues[grant.master][0]
         burst = request.remaining
         if burst > self.max_burst:
             burst = self.max_burst
@@ -362,22 +362,24 @@ class SharedBus(Component):
             request.parked_until = cycle + setup
             self.metrics.record_grant(grant.master)
             return
-        self._burst = _ActiveBurst(request, burst, slave)
+        self._burst = request
+        self._burst_left = burst
+        self._burst_slave = slave
         self._stall = self.arbitration_cycles + setup
         self.metrics.record_grant(grant.master)
 
     def _transfer_word(self, cycle):
-        burst = self._burst
-        request = burst.request
+        request = self._burst
         request.remaining -= 1
-        burst.words_left -= 1
+        self._burst_left -= 1
         self.metrics.record_word(request.master)
         self._stall_run = 0
-        self._stall = burst.slave.serve_word()
+        slave = self._burst_slave
+        self._stall = slave.serve_word()
         if self.injector is not None:
             if self.injector.corrupt_word(self, request, cycle):
                 request.fault_detected = True
-            self._stall += self.injector.slave_stall(self, burst.slave, cycle)
+            self._stall += self.injector.slave_stall(self, slave, cycle)
         if request.remaining == 0:
             if request.fault_detected:
                 # End-of-message integrity check failed (the CRC view of
@@ -396,12 +398,12 @@ class SharedBus(Component):
             for hook in self._completion_hooks:
                 hook(request, cycle)
             self._burst = None
-        elif burst.words_left == 0:
+        elif self._burst_left == 0:
             self._burst = None
 
     def _abort_burst(self, cycle):
         """Bus-timeout watchdog: abort the hung transfer, free the bus."""
-        request = self._burst.request
+        request = self._burst
         self._burst = None
         self._stall = 0
         self._stall_run = 0

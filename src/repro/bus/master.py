@@ -86,7 +86,13 @@ class MasterInterface(Component):
                     self.name
                 )
             ) from None
+        queue = self._queue
         default_load_state_dict(self, state)
+        # Restore the queue in place: the owning bus holds this deque
+        # (see ``queue``).
+        queue.clear()
+        queue.extend(self._queue)
+        self._queue = queue
         if rng_state is None:
             self._retry_rng = None
         else:
@@ -131,6 +137,16 @@ class MasterInterface(Component):
         self._queue.append(request)
         self.submitted_requests += 1
         return request
+
+    @property
+    def queue(self):
+        """The outstanding requests, head first (read-only).
+
+        One deque for the interface's lifetime (:meth:`reset` and
+        :meth:`load_state_dict` refill it in place): the owning bus
+        holds it and reads its head every arbitration.
+        """
+        return self._queue
 
     @property
     def has_request(self):

@@ -121,7 +121,11 @@ class Request:
 
 
 class Grant:
-    """An arbitration decision.
+    """An arbitration decision (immutable).
+
+    Arbiters whose grants depend only on the winner build one per master
+    up front and hand the same instance out every round, so a grant must
+    never change once made: assigning to either field raises.
 
     :param master: index of the winning master.
     :param max_words: optional cap on the number of words this grant may
@@ -136,8 +140,18 @@ class Grant:
             raise ValueError("master index must be non-negative")
         if max_words is not None and max_words < 1:
             raise ValueError("max_words must be >= 1 when given")
-        self.master = master
-        self.max_words = max_words
+        object.__setattr__(self, "master", master)
+        object.__setattr__(self, "max_words", max_words)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grant is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Grant is immutable")
+
+    def __reduce__(self):
+        # Default slot unpickling restores fields through __setattr__.
+        return (Grant, (self.master, self.max_words))
 
     def __eq__(self, other):
         return (

@@ -56,16 +56,20 @@ class CompensationPolicy(Snapshottable):
         """Current per-master inflation factors (read-only copy)."""
         return tuple(self._factors)
 
-    def _holding(self, master):
+    def _inflated(self, master):
         inflated = round(self.base.tickets[master] * self._factors[master])
         return min(self.cap, max(1, inflated))
 
     def _rebuild_holdings(self):
-        self._holdings = [self._holding(m) for m in range(self.num_masters)]
+        self._holdings = [self._inflated(m) for m in range(self.num_masters)]
 
     def holdings(self):
         """Current inflated holdings (integers, >= 1, <= cap)."""
         return list(self._holdings)
+
+    def holding(self, master):
+        """``master``'s current inflated holding (``holdings()[master]``)."""
+        return self._holdings[master]
 
     def on_grant(self, master, burst_words):
         """Record a grant; returns the master's next inflation factor.
@@ -82,7 +86,7 @@ class CompensationPolicy(Snapshottable):
         used = min(burst_words, self.max_burst)
         self._factors[master] = self.max_burst / used
         # Only the winner's factor moved, so only its holding is redone.
-        self._holdings[master] = self._holding(master)
+        self._holdings[master] = self._inflated(master)
         return self._factors[master]
 
     def reset(self):
@@ -111,8 +115,16 @@ class CompensatedLotteryManager(Snapshottable):
             random_source=random_source,
             lfsr_seed=lfsr_seed,
         )
+        # Whether the manager's table holds the policy's holdings, so a
+        # grant, which moves only the winner's, need rewrite no other
+        # ticket.  An update dropped while the ticket channel is down
+        # breaks it until the next full rewrite.
+        self._in_sync = True
 
     state_children = ("policy", "_manager")
+    # _in_sync is derived: a restore clears it, so the first grant after
+    # one rewrites the whole table.
+    state_exclude = ("_in_sync",)
 
     @property
     def num_masters(self):
@@ -133,11 +145,27 @@ class CompensatedLotteryManager(Snapshottable):
         return self._manager.draw_index(index)
 
     def note_grant(self, master, burst_words):
-        """Feed the granted burst size back into the compensation loop."""
-        self.policy.on_grant(master, burst_words)
-        self._manager.set_all_tickets(self.policy.holdings())
+        """Feed the granted burst size back into the compensation loop.
+
+        The manager sees every holding rewritten (its counters and cache
+        move as under ``set_all_tickets``), but while its table is in
+        sync only the winner's ticket, the one the grant moved, is redone.
+        """
+        policy = self.policy
+        policy.on_grant(master, burst_words)
+        manager = self._manager
+        if self._in_sync:
+            manager.rewrite_ticket(master, policy.holding(master))
+        else:
+            manager.set_all_tickets(policy.holdings())
+        self._in_sync = manager.ticket_channel_up
 
     def reset(self):
         self.policy.reset()
         self._manager.reset()
         self._manager.set_all_tickets(self.policy.holdings())
+        self._in_sync = True
+
+    def load_state_dict(self, state):
+        super().load_state_dict(state)
+        self._in_sync = False

@@ -313,6 +313,19 @@ class DynamicLotteryManager(Snapshottable):
             self._sums_cache.clear()
         self.ticket_updates += len(tickets)
 
+    def rewrite_ticket(self, master, count):
+        """:meth:`set_all_tickets` for a table in which only ``master``'s
+        holding can differ: the same counters (one update per master)
+        and cache invalidation, without rebuilding the whole table."""
+        if not self.ticket_channel_up:
+            self.dropped_updates += len(self._tickets)
+            return
+        count = self._clamp(count)
+        if count != self._tickets[master]:
+            self._tickets[master] = count
+            self._sums_cache.clear()
+        self.ticket_updates += len(self._tickets)
+
     def reset(self):
         self._tickets = list(self._initial)
         self._sums_cache.clear()

@@ -75,7 +75,7 @@ class BusProbe(Component):
         self.owners.append(owner)
         # Pending requests' arrivals (head-of-queue visibility).
         for master_id, interface in enumerate(self.bus.masters):
-            for request in getattr(interface, "_queue", ()):
+            for request in interface.queue:
                 if self._in_window(request.arrival_cycle):
                     self.arrivals[master_id].add(request.arrival_cycle)
 

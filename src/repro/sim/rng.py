@@ -97,8 +97,26 @@ class RandomStream:
         self._rng.setstate(state["random"])
 
     def randint(self, low, high):
-        """Uniform integer in ``[low, high]`` inclusive."""
-        return self._rng.randint(low, high)
+        """Uniform integer in ``[low, high]`` inclusive (ints only).
+
+        Draws exactly what ``random.Random.randint`` draws: CPython's
+        ``_randbelow_with_getrandbits`` rejection loop, run inline to
+        skip the ``randint`` -> ``randrange`` -> ``_randbelow`` calls.
+        An empty range raises ``ValueError`` before any draw.
+        """
+        n = high - low + 1
+        if n <= 0:
+            raise ValueError(
+                "empty range for randint({}, {})".format(low, high)
+            )
+        rng = self._rng
+        # n's width, not (n - 1)'s, as CPython does: the draw count must
+        # match random.Random's (n == 1 still draws).
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return low + r
 
     def randrange(self, upper):
         """Uniform integer in ``[0, upper)``."""

@@ -60,6 +60,47 @@ def test_bus_roundtrip_matches_uninterrupted_run(arbiter_name, tmp_path):
     assert bus_b.arbiter.state_dict() == bus_a.arbiter.state_dict()
 
 
+def _run_until_busy_with_a_backlog(system, bus, busy):
+    # Stop on a cycle with a burst in flight and requests queued behind
+    # it, so the restore below has both to rebuild.
+    for _ in range(HALF):
+        system.run(1)
+        if bus.busy == busy and sum(m.queue_depth for m in bus.masters) >= 3:
+            return
+    pytest.fail("no cycle had a burst in flight and a backlog")
+
+
+@pytest.mark.parametrize("arbiter_name", available_arbiters())
+def test_restored_bus_reads_its_masters_queues(arbiter_name, tmp_path):
+    # The bus reads each master's queue object directly, so a restore
+    # must refill those very deques: into a fresh system and in place.
+    path = str(tmp_path / "bus.ckpt")
+    # TDMA grants single words, so its bus is free at every cycle end.
+    busy = arbiter_name != "tdma"
+    system_a, bus_a = _build_system(arbiter_name)
+    _run_until_busy_with_a_backlog(system_a, bus_a, busy)
+    saved = bus_a.pending_words()
+    assert any(saved)
+    system_a.save_checkpoint(path)
+    queues = [master.queue for master in bus_a.masters]
+    system_a.run(HALF)
+
+    system_b, bus_b = _build_system(arbiter_name)
+    queues_b = [master.queue for master in bus_b.masters]
+    for system, bus, before in ((system_b, bus_b, queues_b),
+                                (system_a, bus_a, queues)):
+        system.load_checkpoint(path)
+        assert bus.busy == busy
+        assert [master.queue for master in bus.masters] == before
+        assert all(master.queue is queue
+                   for master, queue in zip(bus.masters, before))
+        assert bus.pending_words() == saved
+        assert bus.pending_words() == [m.pending_words for m in bus.masters]
+    system_a.run(HALF)
+    system_b.run(HALF)
+    assert bus_b.metrics.summary() == bus_a.metrics.summary()
+
+
 @pytest.mark.parametrize(
     "arbiter_name", ["lottery-static", "tdma", "round-robin"]
 )

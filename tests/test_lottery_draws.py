@@ -13,7 +13,7 @@ bit-identical to it on generated inputs:
   sends them master by master.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.arbiters.lottery import (
@@ -175,6 +175,16 @@ _OPS = st.one_of(
     st.integers(1, 255),
     st.lists(_OPS, max_size=60),
 )
+# A grant that moves a holding must drop the memoized partial sums.
+@example([1, 2, 3, 4], 16, 255, 1,
+         [("draw", 15), ("grant", 0, 2), ("draw", 15)])
+# Updates dropped during an outage leave the table stale until the next
+# grant after it rewrites every holding, also across a restore.
+@example([1, 2, 3, 4], 16, 255, 1,
+         [("disable",), ("grant", 0, 2), ("restore",), ("grant", 1, 2)])
+@example([1, 2, 3, 4], 16, 255, 1,
+         [("disable",), ("grant", 0, 2), ("roundtrip",), ("restore",),
+          ("grant", 1, 2)])
 def test_incremental_compensation_matches_scratch(base, max_burst, cap, seed,
                                                   ops):
     def fresh():

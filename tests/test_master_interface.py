@@ -57,3 +57,18 @@ def test_requests_carry_master_id_and_slave():
     request = interface.submit(4, 0, slave=2)
     assert request.master == 3
     assert request.slave == 2
+
+
+def test_queue_is_one_deque_for_the_interface_lifetime():
+    interface = MasterInterface("m", 0)
+    queue = interface.queue
+    first = interface.submit(4, 0)
+    assert list(queue) == [first]
+    state = interface.state_dict()
+    interface.reset()
+    assert interface.queue is queue and not queue
+    interface.submit(9, 1)
+    interface.load_state_dict(state)
+    assert interface.queue is queue
+    assert [request.words for request in queue] == [4]
+    assert interface.pending_words == 4

@@ -124,6 +124,45 @@ def test_geometric_of_one_draws_nothing(seed):
     assert stream.state_dict() == before
 
 
+#: randint widths (high - low + 1): 1, powers of two and their
+#: neighbours (where the rejection loop's acceptance rate jumps), and
+#: widths above 2**32, which getrandbits serves from several words.
+WIDTHS = st.one_of(
+    st.just(1),
+    st.integers(min_value=0, max_value=70).flatmap(
+        lambda k: st.sampled_from(
+            [w for w in (2**k - 1, 2**k, 2**k + 1) if w >= 1]
+        )
+    ),
+    st.integers(min_value=2, max_value=2**80),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, low=st.integers(min_value=-(2**40), max_value=2**40),
+       width=WIDTHS)
+@example(seed=0, low=1, width=16)
+@example(seed=0, low=0, width=1)
+@example(seed=0, low=0, width=2**32)
+@example(seed=0, low=0, width=2**32 + 1)
+def test_randint_matches_random_randint_draw_for_draw(seed, low, width):
+    stream = RandomStream(seed)
+    reference = random.Random(seed)
+    high = low + width - 1
+    draws = [stream.randint(low, high) for _ in range(5)]
+    assert draws == [reference.randint(low, high) for _ in range(5)]
+    assert all(low <= value <= high for value in draws)
+    assert stream.state_dict()["random"] == reference.getstate()
+
+
+def test_randint_empty_range_raises_without_drawing():
+    stream = RandomStream(5)
+    before = stream.state_dict()
+    with pytest.raises(ValueError):
+        stream.randint(5, 4)
+    assert stream.state_dict() == before
+
+
 def test_splitmix64_reference_sequence():
     from repro.sim.rng import splitmix64
 
