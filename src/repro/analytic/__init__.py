@@ -13,7 +13,9 @@ Entry points:
   latency distribution (mean + percentiles) for one
   (arbiter, traffic class, weights) configuration.
 * :func:`score_grid` — the vectorized batch path: a list of
-  configuration points predicted at a few microseconds each.
+  test-bed :class:`~repro.experiments.system.Point` objects predicted
+  at a few microseconds each.
+* :func:`check_config` — whether the surrogate models one point.
 * :data:`ERROR_BOUNDS` / :func:`bound_for` — the checked-in, regression-
   tested surrogate<->simulator error bounds.
 * :func:`validate_surrogate` — cross-validation driver producing the
@@ -35,6 +37,7 @@ from repro.analytic.bounds import (
 from repro.analytic.model import (
     AnalyticResult,
     UnsupportedArbiterError,
+    check_config,
     predict,
     supported_arbiters,
 )
@@ -48,6 +51,7 @@ __all__ = [
     "UnsupportedArbiterError",
     "ValidationReport",
     "bound_for",
+    "check_config",
     "predict",
     "score_grid",
     "supported_arbiters",

@@ -26,8 +26,8 @@ from repro.analytic.families import (
 from repro.analytic.model import (
     PERCENTILES,
     AnalyticResult,
+    _predict,
     check_config,
-    predict,
 )
 from repro.core.scaling import scale_to_power_of_two
 
@@ -50,32 +50,27 @@ def _cached_ranks(weights):
     return tuple(priority_ranks(list(weights)))
 
 
-def _family_rows(arbiter_name, weight_rows, kwargs):
-    """Per-config contention vectors for one group, as lists of
-    tuples (stacked into the group's parameter matrix)."""
+def _family_rows(points):
+    """Per-config contention vectors for one group (points sharing an
+    arbiter and its kwargs), as tuples stacked into the group's
+    parameter matrix."""
+    arbiter_name = points[0].arbiter
+    weight_rows = [point.weights for point in points]
     if arbiter_name == "lottery-static":
-        if not kwargs.get("scale", True):
-            return [tuple(w) for w in weight_rows]
-        return [_scaled_tickets(tuple(w)) for w in weight_rows]
+        if not dict(points[0].kwargs).get("scale", True):
+            return weight_rows
+        return [_scaled_tickets(w) for w in weight_rows]
     if arbiter_name == "lottery-dynamic":
         return [
             tuple(min(_DYNAMIC_TICKET_CAP, max(1, t)) for t in w)
             for w in weight_rows
         ]
-    if arbiter_name == "lottery-compensated":
-        return [tuple(w) for w in weight_rows]
     if arbiter_name == "static-priority":
-        return [_cached_ranks(tuple(w)) for w in weight_rows]
+        return [_cached_ranks(w) for w in weight_rows]
     if arbiter_name == "round-robin":
         return [(1,) * len(w) for w in weight_rows]
-    if arbiter_name == "tdma":
-        reclaim = kwargs.get("reclaim", "scan")
-        if reclaim not in ("scan", "single", "none"):
-            raise ValueError(
-                "reclaim must be one of ('scan', 'single', 'none'), "
-                "got {!r}".format(reclaim)
-            )
-        return [tuple(w) for w in weight_rows]
+    if arbiter_name in ("lottery-compensated", "tdma"):
+        return weight_rows
     raise KeyError(arbiter_name)
 
 
@@ -436,8 +431,7 @@ def _solve_open_batch(np, profiles, kind, params, reclaim):
     }
 
 
-def _assemble(np, points, indices, state, profiles, horizon,
-              percentiles):
+def _assemble(np, points, state, profiles, horizon, percentiles):
     """Turn one group's solved arrays into AnalyticResult objects."""
     wbar = np.array([p.mean_words for p in profiles])
     latencies = state["delays"] / wbar
@@ -454,7 +448,7 @@ def _assemble(np, points, indices, state, profiles, horizon,
                 ((wbar + factor * waits) / wbar).tolist(),
             ))
     model = state["model"]
-    count = len(indices)
+    count = len(points)
     masters = len(profiles)
     # Bulk-convert once per group: per-element float() calls dominate
     # assembly time otherwise.
@@ -467,12 +461,11 @@ def _assemble(np, points, indices, state, profiles, horizon,
         latencies, (count, masters)
     ).tolist()
     results = []
-    for row, index in enumerate(indices):
-        point = points[index]
-        results.append((index, AnalyticResult(
-            arbiter=point["arbiter_name"],
-            traffic=point["traffic_class_name"],
-            weights=point["weights"],
+    for row, point in enumerate(points):
+        results.append(AnalyticResult(
+            arbiter=point.arbiter,
+            traffic=point.traffic,
+            weights=point.weights,
             utilization=util[row],
             shares=tuple(shares[row]),
             latencies_per_word=tuple(latencies[row]),
@@ -485,17 +478,15 @@ def _assemble(np, points, indices, state, profiles, horizon,
                 "alpha": alpha[row],
                 "backend": "batch",
             },
-        )))
+        ))
     return results
 
 
-def score_grid(points, max_burst=16, horizon=None, percentiles=False):
+def score_grid(points, horizon=None, percentiles=False):
     """Score many configurations with the analytic surrogate at once.
 
-    :param points: a sequence of dicts with the vector backend's point
-        shape — ``arbiter_name``, ``traffic_class_name``, ``weights``
-        and optional ``arbiter_kwargs``.
-    :param max_burst: the bus's maximum words per grant.
+    :param points: :class:`~repro.experiments.system.Point` objects;
+        each is scored on its own bus (``max_burst``).
     :param horizon: optional simulated-cycle horizon (see
         :func:`repro.analytic.predict`).
     :param percentiles: attach latency percentiles to every result
@@ -503,7 +494,8 @@ def score_grid(points, max_burst=16, horizon=None, percentiles=False):
         percentile assembly is a measurable fraction of batch cost).
     :returns: a list of :class:`AnalyticResult`, one per point, in
         input order.  Numbers match the scalar ``predict`` to floating
-        -point noise.
+        -point noise.  A point :func:`check_config` rejects raises its
+        error.
     """
     import numpy as np
 
@@ -511,23 +503,15 @@ def score_grid(points, max_burst=16, horizon=None, percentiles=False):
 
     groups = {}
     for index, point in enumerate(points):
-        kwargs = point.get("arbiter_kwargs") or {}
-        key = (
-            point["arbiter_name"],
-            point["traffic_class_name"],
-            tuple(sorted(kwargs.items())),
-        )
+        key = (point.arbiter, point.traffic, point.kwargs, point.max_burst)
         groups.setdefault(key, []).append(index)
 
     results = [None] * len(points)
-    for (arbiter_name, traffic_name, _), indices in groups.items():
-        kwargs = dict(points[indices[0]].get("arbiter_kwargs") or {})
-        weight_rows = [list(points[i]["weights"]) for i in indices]
-        profiles = check_config(
-            arbiter_name, traffic_name, weight_rows[0], kwargs,
-            max_burst,
-        )
-        for row in weight_rows[1:]:
+    for indices in groups.values():
+        group = [points[i] for i in indices]
+        profiles = check_config(group[0])
+        for point in group[1:]:
+            row = point.weights
             if any(w < 1 for w in row) or len(row) != len(profiles):
                 raise ValueError(
                     "weights must be positive and match {} masters, "
@@ -537,39 +521,25 @@ def score_grid(points, max_burst=16, horizon=None, percentiles=False):
         # priority ranks are permutations (at most n! distinct rows)
         # and round-robin ignores weights entirely — so solve each
         # unique row once and scatter the solution back.
-        family_rows = _family_rows(arbiter_name, weight_rows, kwargs)
+        family_rows = _family_rows(group)
         unique = {}
         row_of = [
             unique.setdefault(row, len(unique)) for row in family_rows
         ]
         params = np.array(list(unique), dtype=float)
-        kind = _kind(arbiter_name)
-        reclaim = kwargs.get("reclaim", "scan")
+        kind = _kind(group[0].arbiter)
+        reclaim = dict(group[0].kwargs).get("reclaim", "scan")
 
-        closed = all(p.closed for p in profiles)
-        if not closed and any(p.closed for p in profiles):
-            raise ValueError(
-                "traffic class {!r} mixes closed- and open-loop "
-                "masters; the surrogate models homogeneous classes "
-                "only".format(traffic_name)
-            )
-        if closed:
+        if profiles[0].closed:
             state = _solve_closed_batch(
                 np, profiles, kind, params, reclaim
             )
         elif sum(p.rate_words for p in profiles) > 0.995:
             # Overloaded open grids need the scalar water-fill; rare
-            # enough that looping predict is the simplest correct path.
-            for i in indices:
-                point = points[i]
-                results[i] = predict(
-                    point["arbiter_name"],
-                    point["traffic_class_name"],
-                    weights=point["weights"],
-                    max_burst=max_burst,
-                    horizon=horizon,
-                    **(point.get("arbiter_kwargs") or {})
-                )
+            # enough that looping the scalar model is the simplest
+            # correct path.
+            for index, point in zip(indices, group):
+                results[index] = _predict(point, horizon)
             continue
         else:
             state = _solve_open_batch(np, profiles, kind, params, reclaim)
@@ -581,8 +551,9 @@ def score_grid(points, max_burst=16, horizon=None, percentiles=False):
                 )
                 for key, value in state.items()
             }
-        for index, result in _assemble(
-            np, points, indices, state, profiles, horizon, percentiles
-        ):
+        assembled = _assemble(
+            np, group, state, profiles, horizon, percentiles
+        )
+        for index, result in zip(indices, assembled):
             results[index] = result
     return results

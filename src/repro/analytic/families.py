@@ -328,15 +328,17 @@ class _TdmaFamily:
         return delays
 
 
-def build_family(arbiter_name, weights, kwargs):
-    """The contention model for one registry arbiter name.
+def build_family(point):
+    """The contention model for one point's registry arbiter.
 
     Returns ``(family, contention_weights)`` — the waiting-time model
-    and the per-master weight vector open-loop allocation uses.  Raises
-    :class:`KeyError` for families without an analytic model (the
-    caller turns that into ``UnsupportedArbiterError``).
+    and the per-master weight vector open-loop allocation uses.  The
+    point must pass :func:`repro.analytic.model.check_config`; raises
+    :class:`KeyError` for families without an analytic model.
     """
-    weights = list(weights)
+    arbiter_name = point.arbiter
+    weights = list(point.weights)
+    kwargs = dict(point.kwargs)
     if arbiter_name == "lottery-static":
         if not kwargs.get("scale", True):
             tickets = weights
@@ -360,11 +362,5 @@ def build_family(arbiter_name, weights, kwargs):
     if arbiter_name == "round-robin":
         return _RoundRobinFamily(), [1] * len(weights)
     if arbiter_name == "tdma":
-        reclaim = kwargs.get("reclaim", "scan")
-        if reclaim not in ("scan", "single", "none"):
-            raise ValueError(
-                "reclaim must be one of ('scan', 'single', 'none'), "
-                "got {!r}".format(reclaim)
-            )
-        return _TdmaFamily(weights, reclaim), weights
+        return _TdmaFamily(weights, kwargs.get("reclaim", "scan")), weights
     raise KeyError(arbiter_name)

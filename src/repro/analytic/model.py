@@ -14,6 +14,8 @@ import math
 from repro.analytic.families import build_family
 from repro.analytic.solver import solve_closed, solve_open
 from repro.analytic.traffic_model import traffic_profiles
+from repro.experiments.sweep import sweep_row
+from repro.experiments.system import Point
 
 # Latency percentiles reported by every prediction.  The waiting time
 # is modeled as exponential around its mean (lottery round losses are
@@ -52,23 +54,30 @@ def supported_arbiters():
     return list(_SUPPORTED)
 
 
-def check_config(arbiter_name, traffic_name, weights, arbiter_kwargs,
-                 max_burst):
-    """Validate one configuration and return its traffic profiles.
+_RECLAIMS = ("scan", "single", "none")
 
-    Shared by :func:`predict` and the vectorized
-    :func:`repro.analytic.batch.score_grid` so both reject exactly the
-    same inputs with the same messages.
+
+def check_config(point):
+    """Validate one :class:`~repro.experiments.system.Point` for the
+    surrogate and return its traffic profiles.
+
+    The surrogate's single support check: :func:`predict`,
+    :func:`repro.analytic.batch.score_grid` and the screened sweep all
+    reject exactly the same points with the same messages
+    (:class:`UnsupportedArbiterError` for an arbiter without a model,
+    :class:`ValueError` for anything else).
     """
+    arbiter_name = point.arbiter
     if arbiter_name not in _SUPPORTED:
         raise UnsupportedArbiterError(
             "no analytic model for arbiter {!r}; supported: {}".format(
                 arbiter_name, list(_SUPPORTED)
             )
         )
-    if any(w < 1 for w in weights):
+    if any(w < 1 for w in point.weights):
         raise ValueError("weights must be positive integers")
-    unknown = set(arbiter_kwargs) - _KNOWN_KWARGS[arbiter_name]
+    kwargs = dict(point.kwargs)
+    unknown = set(kwargs) - _KNOWN_KWARGS[arbiter_name]
     if unknown:
         raise ValueError(
             "predict() does not model kwargs {} for {!r} (known: {})".format(
@@ -76,19 +85,32 @@ def check_config(arbiter_name, traffic_name, weights, arbiter_kwargs,
                 sorted(_KNOWN_KWARGS[arbiter_name]),
             )
         )
-    draw_policy = arbiter_kwargs.get("draw_policy", "reduce")
+    draw_policy = kwargs.get("draw_policy", "reduce")
     if draw_policy not in ("reduce", "rejection"):
-        # "discard" wastes slots on out-of-range draws; utilization no
-        # longer matches the always-grant closed forms.
+        # The closed forms assume every lottery grants; these are the
+        # policies that do (and the only ones the manager takes).
         raise ValueError(
             "predict() models draw_policy 'reduce'/'rejection' only, "
             "got {!r}".format(draw_policy)
         )
-    profiles = traffic_profiles(traffic_name, max_burst)
-    if len(weights) != len(profiles):
+    reclaim = kwargs.get("reclaim", "scan")
+    if reclaim not in _RECLAIMS:
+        raise ValueError(
+            "reclaim must be one of {}, got {!r}".format(_RECLAIMS, reclaim)
+        )
+    profiles = traffic_profiles(point.traffic, point.max_burst)
+    if len(point.weights) != len(profiles):
         raise ValueError(
             "weights length {} != {} masters of {!r}".format(
-                len(weights), len(profiles), traffic_name
+                len(point.weights), len(profiles), point.traffic
+            )
+        )
+    closed = [p.closed for p in profiles]
+    if any(closed) and not all(closed):
+        raise ValueError(
+            "traffic class {!r} mixes closed- and open-loop masters; "
+            "the surrogate models homogeneous classes only".format(
+                point.traffic
             )
         )
     return profiles
@@ -112,17 +134,7 @@ class AnalyticResult:
         """A dict with the exact columns of a simulated sweep row
         (:class:`repro.experiments.sweep.SweepResult`), so predictions
         and confirmations are directly comparable."""
-        row = {
-            "arbiter": self.arbiter,
-            "traffic": self.traffic,
-            "weights": ":".join(str(w) for w in self.weights),
-            "utilization": self.utilization,
-        }
-        for master, share in enumerate(self.bandwidth_shares):
-            row["share{}".format(master)] = share
-        for master, latency in enumerate(self.latencies_per_word):
-            row["latency{}".format(master)] = latency
-        return row
+        return sweep_row(self.arbiter, self.traffic, self.weights, self)
 
     def __repr__(self):
         return (
@@ -173,26 +185,23 @@ def predict(arbiter_name, traffic_name, weights=(1, 1, 1, 1),
         silently mispredicting.
     :returns: an :class:`AnalyticResult`.
     """
-    weights = list(weights)
-    profiles = check_config(
-        arbiter_name, traffic_name, weights, arbiter_kwargs, max_burst
-    )
-    family, contention = build_family(
-        arbiter_name, weights, arbiter_kwargs
+    return _predict(
+        Point(arbiter_name, traffic_name, weights, max_burst=max_burst,
+              kwargs=arbiter_kwargs),
+        horizon,
     )
 
-    closed = all(p.closed for p in profiles)
-    if closed:
+
+def _predict(point, horizon):
+    """One point's prediction: :func:`predict`'s body, which
+    :func:`~repro.analytic.batch.score_grid` also runs on overloaded
+    open-loop groups."""
+    profiles = check_config(point)
+    family, contention = build_family(point)
+    if profiles[0].closed:
         state = solve_closed(profiles, family)
-    elif not any(p.closed for p in profiles):
-        state = solve_open(profiles, family, contention)
     else:
-        raise ValueError(
-            "traffic class {!r} mixes closed- and open-loop masters; "
-            "the surrogate models homogeneous classes only".format(
-                traffic_name
-            )
-        )
+        state = solve_open(profiles, family, contention)
 
     latencies = list(state.latencies_per_word)
     percentiles = _percentiles(state, profiles)
@@ -205,9 +214,9 @@ def predict(arbiter_name, traffic_name, weights=(1, 1, 1, 1),
                 latencies[i] = 0.0
 
     return AnalyticResult(
-        arbiter=arbiter_name,
-        traffic=traffic_name,
-        weights=weights,
+        arbiter=point.arbiter,
+        traffic=point.traffic,
+        weights=point.weights,
         utilization=state.utilization,
         shares=state.shares,
         latencies_per_word=latencies,

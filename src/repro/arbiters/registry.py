@@ -22,6 +22,47 @@ def _make_static_priority(num_masters, weights):
     return StaticPriorityArbiter(priorities)
 
 
+# The keyword extras each scheme's factory takes.  ``None`` marks the
+# schemes whose factories take none and ignore whatever is passed.
+_EXTRAS = {
+    "static-priority": None,
+    "round-robin": None,
+    "tdma": ("reclaim",),
+    "token-ring": ("hold_limit",),
+    "lottery-static": (
+        "random_source", "scale", "minimum_total", "draw_policy",
+        "lfsr_seed",
+    ),
+    "lottery-dynamic": ("random_source", "ticket_bits", "lfsr_seed"),
+    "lottery-compensated": ("max_burst", "random_source", "lfsr_seed", "cap"),
+    "weighted-rr": ("quantum_scale",),
+}
+
+
+def _unknown_arbiter(name):
+    return ValueError(
+        "unknown arbiter {!r}; choose from {}".format(name, available_arbiters())
+    )
+
+
+def check_arbiter(name, extras):
+    """Reject, with :class:`ValueError`, a name :func:`make_arbiter` does
+    not know or an extra keyword its factory does not take, without
+    building the arbiter."""
+    if name not in _EXTRAS:
+        raise _unknown_arbiter(name)
+    known = _EXTRAS[name]
+    if known is None or not extras:
+        return
+    unknown = sorted(set(extras).difference(known))
+    if unknown:
+        raise ValueError(
+            "arbiter {!r} takes no {}; it takes {}".format(
+                name, unknown, list(known)
+            )
+        )
+
+
 def make_arbiter(name, num_masters, weights=None, **kwargs):
     """Build an arbiter by name with a uniform weight interface.
 
@@ -61,20 +102,9 @@ def make_arbiter(name, num_masters, weights=None, **kwargs):
         return CompensatedLotteryArbiter(list(weights), **kwargs)
     if name == "weighted-rr":
         return WeightedRoundRobinArbiter(list(weights), **kwargs)
-    raise ValueError(
-        "unknown arbiter {!r}; choose from {}".format(name, available_arbiters())
-    )
+    raise _unknown_arbiter(name)
 
 
 def available_arbiters():
     """Names accepted by :func:`make_arbiter`."""
-    return [
-        "static-priority",
-        "round-robin",
-        "tdma",
-        "token-ring",
-        "lottery-static",
-        "lottery-dynamic",
-        "lottery-compensated",
-        "weighted-rr",
-    ]
+    return list(_EXTRAS)

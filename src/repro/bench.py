@@ -629,6 +629,7 @@ def analytic_leg(quick, repeats):
         validate_surrogate,
     )
     from repro.experiments.supervisor import default_jobs
+    from repro.experiments.system import Point
     from repro.vector import run_testbed_batch
 
     # --quick trims the arbiter families, not the settings: the bounds
@@ -645,11 +646,7 @@ def analytic_leg(quick, repeats):
     weights = tuple(CALIBRATION["weights"])
     traffic = list(CALIBRATION["traffic_classes"])
     base_grid = [
-        {
-            "arbiter_name": arbiter_name,
-            "traffic_class_name": traffic_name,
-            "weights": weights,
-        }
+        Point(arbiter_name, traffic_name, weights)
         for arbiter_name in supported_arbiters()
         for traffic_name in traffic
     ]
@@ -663,13 +660,8 @@ def analytic_leg(quick, repeats):
     # What a screened sweep avoids paying per screened-out
     # configuration: the standard sweep grid on the vector engine.
     sim_calls = [
-        dict(
-            arbiter_name=arbiter_name,
-            traffic_class_name=traffic_name,
-            weights=list(weights),
-            cycles=_ANALYTIC_SIM_CYCLES,
-            seed=CALIBRATION["seed"],
-        )
+        Point(arbiter_name, traffic_name, weights,
+              cycles=_ANALYTIC_SIM_CYCLES, seed=CALIBRATION["seed"])
         for arbiter_name in _ANALYTIC_SIM_ARBITERS
         for traffic_name in traffic
     ]
@@ -728,10 +720,33 @@ def analytic_leg(quick, repeats):
 # run against an empty cache and a fully warm run (every per-file result
 # and the whole-program pass replayed from the cache).  Both must
 # produce byte-identical findings, and the warm run must clear the 5x
-# speedup target.
+# speedup target.  The leg also reports the size of src/repro, per
+# package, so net lines of code are tracked like any other figure.
 
 _LINT_TARGETS = ("src", "tests")
 _LINT_WARM_SPEEDUP_TARGET = 5.0
+_SIZE_ROOT = os.path.join("src", "repro")
+
+
+def _source_size(files):
+    """Lines and modules per ``repro`` package among ``files``, plus
+    the total; a module directly in ``repro`` counts as ``repro``."""
+    packages = {}
+    for path in files:
+        parts = os.path.relpath(path, _SIZE_ROOT).split(os.sep)
+        package = "repro" if len(parts) == 1 else "repro." + parts[0]
+        with open(path, "rb") as handle:
+            lines = handle.read().count(b"\n")
+        entry = packages.setdefault(package, {"modules": 0, "lines": 0})
+        entry["modules"] += 1
+        entry["lines"] += lines
+    return {
+        "packages": dict(sorted(packages.items())),
+        "total": {
+            "modules": sum(e["modules"] for e in packages.values()),
+            "lines": sum(e["lines"] for e in packages.values()),
+        },
+    }
 
 
 def lint_leg(quick, repeats):
@@ -803,6 +818,7 @@ def lint_leg(quick, repeats):
         ),
         "warm_speedup": round(warm_speedup, 1),
         "warm_speedup_target": _LINT_WARM_SPEEDUP_TARGET,
+        "size": _source_size(iter_python_files([_SIZE_ROOT])),
     }, gates
 
 

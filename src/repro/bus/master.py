@@ -172,10 +172,6 @@ class MasterInterface(Component):
         """Total words outstanding across all queued transactions."""
         return sum(request.remaining for request in self._queue)
 
-    def head(self):
-        """The head request; raises IndexError when idle."""
-        return self._queue[0]
-
     def pop(self):
         """Remove and return the (completed) head request."""
         request = self._queue.popleft()

@@ -27,7 +27,7 @@ from repro.experiments.screen import (
 )
 from repro.experiments.starvation import run_starvation
 from repro.experiments.sweep import run_sweep
-from repro.experiments.system import run_testbed
+from repro.experiments.system import Point, run_testbed
 from repro.experiments.supervisor import (
     ResultStore,
     Supervisor,
@@ -38,6 +38,7 @@ from repro.experiments.table1 import run_table1
 
 __all__ = [
     "ExperimentCheckpointer",
+    "Point",
     "ResultStore",
     "ScreenedSweepResult",
     "StageCheckpoint",

@@ -8,9 +8,9 @@
 (c) LOTTERYBUS latency surface: classes T1-T6 x ticket holdings 1..4.
 """
 
-from repro.experiments.system import run_testbed
+from repro.experiments.system import Point
 from repro.metrics.report import format_stacked_percentages, format_table
-from repro.traffic.classes import TRAFFIC_CLASSES, get_traffic_class
+from repro.traffic.classes import TRAFFIC_CLASSES
 
 BANDWIDTH_CLASSES = tuple(sorted(TRAFFIC_CLASSES))
 LATENCY_CLASSES = ("T1", "T2", "T3", "T4", "T5", "T6")
@@ -69,12 +69,9 @@ class Figure12aResult:
         return table + "\n\n" + chart
 
 
-def _figure12a_point(name, weights, cycles, seed):
+def _bandwidth_fractions(point):
     """One traffic class's bandwidth fractions (pool fan-out unit)."""
-    result = run_testbed(
-        "lottery-static", name, list(weights), cycles=cycles, seed=seed
-    )
-    return result.bandwidth_fractions
+    return point.run().bandwidth_fractions
 
 
 def run_figure12a(cycles=200_000, seed=1, weights=(1, 2, 3, 4), jobs=None):
@@ -86,10 +83,12 @@ def run_figure12a(cycles=200_000, seed=1, weights=(1, 2, 3, 4), jobs=None):
     """
     from repro.experiments.supervisor import pool_map
 
+    points = [
+        Point("lottery-static", name, weights, cycles=cycles, seed=seed)
+        for name in BANDWIDTH_CLASSES
+    ]
     fractions = pool_map(
-        _figure12a_point,
-        [(name, weights, cycles, seed) for name in BANDWIDTH_CLASSES],
-        jobs=jobs,
+        _bandwidth_fractions, [(point,) for point in points], jobs=jobs
     )
     return Figure12aResult(list(BANDWIDTH_CLASSES), fractions, weights)
 
@@ -118,19 +117,9 @@ class Figure12LatencyResult:
         )
 
 
-def _figure12_latency_point(
-    architecture, name, weights, cycles, seed, arbiter_kwargs
-):
+def _latencies(point):
     """One (architecture, class) latency row (pool fan-out unit)."""
-    result = run_testbed(
-        architecture,
-        name,
-        list(weights),
-        cycles=cycles,
-        seed=seed,
-        **arbiter_kwargs
-    )
-    return result.latencies_per_word
+    return point.run().latencies_per_word
 
 
 def run_figure12_latency(
@@ -151,15 +140,13 @@ def run_figure12_latency(
     """
     from repro.experiments.supervisor import pool_map
 
-    for name in class_names:
-        get_traffic_class(name)  # validate early
+    points = [
+        Point(architecture, name, weights, cycles=cycles, seed=seed,
+              kwargs=arbiter_kwargs)
+        for name in class_names
+    ]
     surface = pool_map(
-        _figure12_latency_point,
-        [
-            (architecture, name, weights, cycles, seed, arbiter_kwargs)
-            for name in class_names
-        ],
-        jobs=jobs,
+        _latencies, [(point,) for point in points], jobs=jobs
     )
     return Figure12LatencyResult(
         architecture, list(class_names), weights, surface

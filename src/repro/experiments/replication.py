@@ -15,7 +15,7 @@ bit-identical whatever ``jobs`` is.
 """
 
 from repro.experiments.sweep import batch_results
-from repro.experiments.system import run_testbed
+from repro.experiments.system import Point
 from repro.metrics.report import format_table
 from repro.metrics.stats import StreamingReplication
 from repro.sim.rng import child_seed
@@ -63,38 +63,23 @@ def replication_seed(seed, seed_mode="derived"):
     )
 
 
-def _replication_chunk(
-    arbiter_name, traffic_class, weights, seeds, cycles, warmup, seed_mode,
-    arbiter_kwargs
-):
-    """Replicate a chunk of seeds; returns a compact summary state.
-
-    The pool fan-out unit: runs entirely in a worker and ships back a
-    ``StreamingReplication.state_dict()`` — O(metrics) numbers however
-    many seeds or transactions the chunk covered.
-    """
+def _summarize(result):
+    """One replication's TestbedResult as a compact summary state: a
+    ``StreamingReplication.state_dict()``, O(metrics) numbers however
+    many transactions the run covered."""
     replication = StreamingReplication()
-    for seed in seeds:
-        result = run_testbed(
-            arbiter_name,
-            traffic_class,
-            list(weights),
-            cycles=cycles,
-            seed=replication_seed(seed, seed_mode),
-            warmup=warmup,
-            **arbiter_kwargs
-        )
-        _record_replication(replication, result)
-    return replication.state_dict()
-
-
-def _record_replication(replication, result):
-    """Fold one replication's TestbedResult into the running summary."""
     replication.record("utilization", result.utilization)
     for master, share in enumerate(result.bandwidth_shares):
         replication.record("share{}".format(master), share)
     for master, latency in enumerate(result.latencies_per_word):
         replication.record("latency{}".format(master), latency)
+    return replication.state_dict()
+
+
+def _replication_state(point):
+    """One replication run and summarized in a worker (pool fan-out
+    unit): only the summary crosses the pipe."""
+    return _summarize(point.run())
 
 
 def run_replicated_testbed(
@@ -125,39 +110,26 @@ def run_replicated_testbed(
     are bit-identical to the scalar path, so the merged statistics are
     too.
     """
-    seeds = list(seeds)
     from repro.experiments.supervisor import pool_map
 
-    results = batch_results(
-        [
-            (arbiter_name, traffic_class, weights, cycles,
-             replication_seed(seed, seed_mode), warmup, arbiter_kwargs)
-            for seed in seeds
-        ],
-        backend,
-    )
-    if results is not None:
-        # Summarize each replication as its own chunk and merge in seed
-        # order — the exact shape of the pooled scalar path, so the
-        # statistics stay bit-identical whatever the backend.
-        replication = StreamingReplication()
-        for result in results:
-            chunk = StreamingReplication()
-            _record_replication(chunk, result)
-            replication.merge(chunk.state_dict())
-        return ReplicatedResult(
-            arbiter_name, traffic_class, weights, replication
+    points = [
+        Point(
+            arbiter_name, traffic_class, weights, cycles=cycles,
+            seed=replication_seed(seed, seed_mode), warmup=warmup,
+            kwargs=arbiter_kwargs,
         )
-
-    states = pool_map(
-        _replication_chunk,
-        [
-            (arbiter_name, traffic_class, tuple(weights), [seed], cycles,
-             warmup, seed_mode, arbiter_kwargs)
-            for seed in seeds
-        ],
-        jobs=jobs,
-    )
+        for seed in seeds
+    ]
+    # Each replication is summarized as its own chunk and the chunks
+    # are merged in seed order, so the statistics are bit-identical
+    # whatever the backend or ``jobs``.
+    results = batch_results(points, backend)
+    if results is None:
+        states = pool_map(
+            _replication_state, [(point,) for point in points], jobs=jobs
+        )
+    else:
+        states = [_summarize(result) for result in results]
     replication = StreamingReplication()
     for state in states:
         replication.merge(state)

@@ -23,6 +23,7 @@ straight to simulation.
 """
 
 from repro.experiments.sweep import SweepResult, point_seed, sweep_rows
+from repro.experiments.system import Point
 from repro.metrics.report import format_table
 
 #: Screening objectives (all minimized; the ``-`` entries are
@@ -77,9 +78,9 @@ class ScreenedSweepResult:
     ``result`` holds the confirmed (simulated) rows as a plain
     :class:`~repro.experiments.sweep.SweepResult`; ``frontier`` is its
     simulated top-``k`` by the screening objective; ``candidates`` is
-    the surrogate's view of the full grid (one dict per configuration,
-    with predicted score, band and survivor flag); ``funnel`` counts
-    the stages.
+    the surrogate's view of the full grid (one dict per configuration:
+    its :class:`~repro.experiments.system.Point`, predicted score, band
+    and survivor flag); ``funnel`` counts the stages.
     """
 
     def __init__(self, result, frontier, candidates, funnel, objective,
@@ -140,7 +141,6 @@ def run_screened_sweep(
     objective="worst_latency",
     top_k=8,
     band_scale=1.0,
-    max_burst=16,
 ):
     """Score the grid analytically, simulate only the survivors.
 
@@ -161,12 +161,7 @@ def run_screened_sweep(
     """
     # Imported lazily, so importing repro.experiments does not load the
     # surrogate.
-    from repro.analytic import (
-        UnsupportedArbiterError,
-        bound_for,
-        score_grid,
-        supported_arbiters,
-    )
+    from repro.analytic import bound_for, check_config, score_grid
 
     if objective not in OBJECTIVES:
         raise ValueError(
@@ -179,78 +174,47 @@ def run_screened_sweep(
     arbiter_kwargs = arbiter_kwargs or {}
     weight_rows = list(weights)
     if weight_rows and not hasattr(weight_rows[0], "__len__"):
-        weight_rows = [tuple(weights)]
-    else:
-        weight_rows = [tuple(w) for w in weight_rows]
+        weight_rows = [weight_rows]
 
-    # Tier 1: surrogate scores for the full grid.  Anything predict()
-    # cannot model is marked conservative and survives unconditionally.
-    supported = set(supported_arbiters())
+    # Tier 1: surrogate scores for the full grid.  A point the surrogate
+    # cannot model, or has no error bound for, is conservative and
+    # survives unconditionally.
     candidates = []
     scorable = []
     for arbiter_name in arbiters:
         for traffic_name in traffic_classes:
+            bound = bound_for(arbiter_name, traffic_name)
             for weight_row in weight_rows:
+                point = Point(
+                    arbiter_name, traffic_name, weight_row, cycles=cycles,
+                    seed=point_seed(
+                        seed, arbiter_name, traffic_name, seed_mode
+                    ),
+                    warmup=warmup,
+                    kwargs=arbiter_kwargs.get(arbiter_name, {}),
+                )
+                try:
+                    check_config(point)
+                    conservative = bound is None
+                except ValueError:
+                    conservative = True
                 candidate = {
-                    "arbiter": arbiter_name,
-                    "traffic": traffic_name,
-                    "weights": weight_row,
-                    "kwargs": arbiter_kwargs.get(arbiter_name, {}),
+                    "point": point,
                     "predicted": None,
                     "score": None,
                     "band": None,
-                    "conservative": False,
+                    "conservative": conservative,
                     "survivor": False,
                 }
-                bound = bound_for(arbiter_name, traffic_name)
-                if arbiter_name not in supported or bound is None:
-                    candidate["conservative"] = True
-                else:
-                    scorable.append(candidate)
+                if not candidate["conservative"]:
+                    scorable.append((candidate, bound))
                 candidates.append(candidate)
     if scorable:
-        try:
-            predictions = score_grid(
-                [
-                    {
-                        "arbiter_name": c["arbiter"],
-                        "traffic_class_name": c["traffic"],
-                        "weights": c["weights"],
-                        "arbiter_kwargs": c["kwargs"],
-                    }
-                    for c in scorable
-                ],
-                max_burst=max_burst,
-                horizon=cycles,
-            )
-        except (UnsupportedArbiterError, ValueError):
-            # One bad kwarg (or a mixed open/closed class) poisons the
-            # whole batch call; fall back to per-point scoring so only
-            # the genuinely unmodelable points turn conservative.
-            predictions = []
-            for c in scorable:
-                try:
-                    predictions.extend(
-                        score_grid(
-                            [
-                                {
-                                    "arbiter_name": c["arbiter"],
-                                    "traffic_class_name": c["traffic"],
-                                    "weights": c["weights"],
-                                    "arbiter_kwargs": c["kwargs"],
-                                }
-                            ],
-                            max_burst=max_burst,
-                            horizon=cycles,
-                        )
-                    )
-                except (UnsupportedArbiterError, ValueError):
-                    predictions.append(None)
-        for candidate, predicted in zip(scorable, predictions):
-            if predicted is None:
-                candidate["conservative"] = True
-                continue
-            bound = bound_for(candidate["arbiter"], candidate["traffic"])
+        predictions = score_grid(
+            [candidate["point"] for candidate, _ in scorable],
+            horizon=cycles,
+        )
+        for (candidate, bound), predicted in zip(scorable, predictions):
             candidate["predicted"] = predicted
             candidate["score"] = _objective(
                 objective,
@@ -275,21 +239,10 @@ def run_screened_sweep(
         if candidate["conservative"]:
             candidate["survivor"] = True
 
-    # Tier 2: confirm survivors through run_sweep's exact machinery.
+    # Tier 2: confirm the survivors' own points through run_sweep's
+    # exact machinery.
     survivors = [c for c in candidates if c["survivor"]]
-    calls = [
-        (
-            c["arbiter"],
-            c["traffic"],
-            c["weights"],
-            cycles,
-            point_seed(seed, c["arbiter"], c["traffic"], seed_mode),
-            warmup,
-            c["kwargs"],
-        )
-        for c in survivors
-    ]
-    rows = sweep_rows(calls, backend, jobs=jobs)
+    rows = sweep_rows([c["point"] for c in survivors], backend, jobs=jobs)
 
     frontier = sorted(rows, key=lambda row: _row_score(objective, row))
     frontier = frontier[:top_k]

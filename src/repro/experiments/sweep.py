@@ -17,7 +17,7 @@ seeds) identical to the serial run.
 import csv
 import io
 
-from repro.experiments.system import run_testbed
+from repro.experiments.system import Point
 from repro.ioutil import atomic_write
 from repro.metrics.report import format_table
 from repro.sim.rng import child_seed
@@ -149,11 +149,13 @@ def point_seed(seed, arbiter_name, traffic_name, seed_mode="derived"):
     )
 
 
-def _result_row(arbiter_name, traffic_name, weights, result):
-    """One TestbedResult flattened into a sweep row dict."""
+def sweep_row(arbiter, traffic, weights, result):
+    """One result flattened into a sweep row dict: ``result`` is a
+    :class:`~repro.experiments.system.TestbedResult` or a surrogate
+    :class:`~repro.analytic.AnalyticResult`."""
     row = {
-        "arbiter": arbiter_name,
-        "traffic": traffic_name,
+        "arbiter": arbiter,
+        "traffic": traffic,
         "weights": ":".join(str(w) for w in weights),
         "utilization": result.utilization,
     }
@@ -164,36 +166,19 @@ def _result_row(arbiter_name, traffic_name, weights, result):
     return row
 
 
-def _sweep_point(
-    arbiter_name, traffic_name, weights, cycles, seed, warmup, kwargs
-):
-    """One cross-product point as a plain row dict (pool fan-out unit)."""
-    result = run_testbed(
-        arbiter_name,
-        traffic_name,
-        list(weights),
-        cycles=cycles,
-        seed=seed,
-        warmup=warmup,
-        **kwargs
-    )
-    return _result_row(arbiter_name, traffic_name, weights, result)
+def _point_row(point):
+    """One point run as a plain row dict (pool fan-out unit)."""
+    return sweep_row(point.arbiter, point.traffic, point.weights, point.run())
 
 
 BACKENDS = ("scalar", "vector")
 
-# A sweep call's fields, in order, as run_testbed_batch point keys.
-_POINT_KEYS = ("arbiter_name", "traffic_class_name", "weights", "cycles",
-               "seed", "warmup", "arbiter_kwargs")
 
-
-def batch_results(calls, backend):
-    """The vector engine's TestbedResult per call, or ``None`` for the
-    scalar backend (the caller then runs the calls itself).
-
-    ``calls`` are ``(arbiter, traffic, weights, cycles, seed, warmup,
-    arbiter_kwargs)`` tuples; an unknown ``backend`` raises
-    :class:`ValueError`.
+def batch_results(points, backend):
+    """The vector engine's TestbedResult per
+    :class:`~repro.experiments.system.Point`, or ``None`` for the scalar
+    backend (the caller then runs the points itself); an unknown
+    ``backend`` raises :class:`ValueError`.
     """
     if backend not in BACKENDS:
         raise ValueError(
@@ -205,23 +190,22 @@ def batch_results(calls, backend):
     # attribute (profilers, the end-to-end benchmark's tracer) sees it.
     from repro.vector import run_testbed_batch
 
-    return run_testbed_batch(
-        [dict(zip(_POINT_KEYS, call)) for call in calls]
-    ).results
+    return run_testbed_batch(points).results
 
 
-def sweep_rows(calls, backend, jobs=None):
-    """Row dicts for sweep ``calls`` on ``backend`` (see
+def sweep_rows(points, backend, jobs=None):
+    """Row dicts for sweep ``points`` on ``backend`` (see
     :func:`batch_results`); ``jobs`` fans the scalar path over the
     worker pool."""
     from repro.experiments.supervisor import pool_map
 
-    results = batch_results(calls, backend)
+    results = batch_results(points, backend)
     if results is None:
-        return pool_map(_sweep_point, calls, jobs=jobs)
+        return pool_map(_point_row, [(point,) for point in points],
+                        jobs=jobs)
     return [
-        _result_row(call[0], call[1], call[2], result)
-        for call, result in zip(calls, results)
+        sweep_row(point.arbiter, point.traffic, point.weights, result)
+        for point, result in zip(points, results)
     ]
 
 
@@ -257,18 +241,13 @@ def run_sweep(
         the scalar path.
     """
     arbiter_kwargs = arbiter_kwargs or {}
-    calls = []
-    for arbiter_name in arbiters:
-        for traffic_name in traffic_classes:
-            calls.append(
-                (
-                    arbiter_name,
-                    traffic_name,
-                    tuple(weights),
-                    cycles,
-                    point_seed(seed, arbiter_name, traffic_name, seed_mode),
-                    warmup,
-                    arbiter_kwargs.get(arbiter_name, {}),
-                )
-            )
-    return SweepResult(sweep_rows(calls, backend, jobs=jobs))
+    points = [
+        Point(
+            arbiter_name, traffic_name, weights, cycles=cycles,
+            seed=point_seed(seed, arbiter_name, traffic_name, seed_mode),
+            warmup=warmup, kwargs=arbiter_kwargs.get(arbiter_name, {}),
+        )
+        for arbiter_name in arbiters
+        for traffic_name in traffic_classes
+    ]
+    return SweepResult(sweep_rows(points, backend, jobs=jobs))

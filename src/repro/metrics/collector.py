@@ -202,13 +202,10 @@ class MetricsCollector(Snapshottable):
     def reset(self):
         self.__init__(self.num_masters)
 
-    def observe_cycle(self):
-        self.cycles += 1
-
     def observe_idle_gap(self, cycles):
         """Account ``cycles`` consecutive idle bus cycles in one step —
-        the fast path's replay of that many ``observe_cycle`` +
-        ``record_idle`` pairs."""
+        the fast path's replay of that many bus ticks' ``cycles += 1``
+        and ``record_idle`` pairs."""
         self.cycles += cycles
         self.idle_cycles += cycles
 

@@ -9,11 +9,7 @@ numpy is imported lazily, by the code that builds arrays: importing
 this package does not load numpy.
 """
 
-from repro.vector.backend import (
-    BatchRun,
-    make_testbed_builder,
-    run_testbed_batch,
-)
+from repro.vector.backend import BatchRun, run_testbed_batch
 from repro.vector.engine import VectorEngine
 from repro.vector.lanes import (
     LanePlan,
@@ -33,7 +29,6 @@ __all__ = [
     "VectorEngine",
     "VectorLFSR",
     "arbiter_check_state",
-    "make_testbed_builder",
     "plan_lane",
     "run_testbed_batch",
     "scalar_fingerprint",

@@ -15,16 +15,7 @@ metric or arbiter-state mismatch — the batch analogue of the kernel's
 strict mode.
 """
 
-from repro.bus.topology import build_single_bus_system
-from repro.experiments.system import (
-    DEFAULT_CYCLES,
-    DEFAULT_MAX_BURST,
-    DEFAULT_NUM_MASTERS,
-    TestbedResult,
-    make_testbed_arbiter,
-    run_testbed,
-)
-from repro.traffic.classes import get_traffic_class
+from repro.experiments.system import TestbedResult, run_testbed
 from repro.vector.engine import VectorEngine
 from repro.vector.lanes import UnsupportedConfigError, plan_lane
 
@@ -49,85 +40,10 @@ class BatchRun:
         return len(self.fallbacks)
 
 
-def make_testbed_builder(
-    arbiter_name,
-    traffic_class_name,
-    weights,
-    seed=1,
-    max_burst=DEFAULT_MAX_BURST,
-    num_masters=DEFAULT_NUM_MASTERS,
-    arbiter_kwargs=None,
-):
-    """A zero-argument builder producing the exact ``run_testbed`` system.
-
-    Called once at plan time (the lane adopts that build's RNG streams
-    and arbiter state) and again by the strict verifier to construct an
-    untouched scalar twin.
-    """
-    traffic_class = get_traffic_class(traffic_class_name)
-    kwargs = dict(arbiter_kwargs or {})
-
-    def build():
-        arbiter = make_testbed_arbiter(
-            arbiter_name, num_masters, weights, max_burst, **kwargs
-        )
-        return build_single_bus_system(
-            num_masters,
-            arbiter,
-            traffic_class.generator_factory(seed=seed),
-            max_burst=max_burst,
-        )
-
-    return build
-
-
-def _normalize_point(point):
-    point = dict(point)
-    spec = {
-        "arbiter_name": point.pop("arbiter_name"),
-        "traffic_class_name": point.pop("traffic_class_name"),
-        "weights": list(point.pop("weights")),
-        "cycles": point.pop("cycles", DEFAULT_CYCLES),
-        "seed": point.pop("seed", 1),
-        "max_burst": point.pop("max_burst", DEFAULT_MAX_BURST),
-        "num_masters": point.pop("num_masters", DEFAULT_NUM_MASTERS),
-        "warmup": point.pop("warmup", 0),
-        "arbiter_kwargs": dict(point.pop("arbiter_kwargs", {})),
-    }
-    if point:
-        raise TypeError(
-            "unknown batch point keys: {}".format(sorted(point))
-        )
-    return spec
-
-
-def _point_label(spec):
-    return "{}/{}/seed{}".format(
-        spec["arbiter_name"], spec["traffic_class_name"], spec["seed"]
-    )
-
-
-def _scalar_point(spec):
-    return run_testbed(
-        spec["arbiter_name"],
-        spec["traffic_class_name"],
-        list(spec["weights"]),
-        cycles=spec["cycles"],
-        seed=spec["seed"],
-        max_burst=spec["max_burst"],
-        num_masters=spec["num_masters"],
-        warmup=spec["warmup"],
-        **spec["arbiter_kwargs"]
-    )
-
-
 def run_testbed_batch(points, strict=True, block_size=32):
     """Run many test-bed points, batched; returns a :class:`BatchRun`.
 
-    :param points: dicts with :func:`run_testbed`-shaped keys
-        (``arbiter_name``, ``traffic_class_name``, ``weights``, and
-        optionally ``cycles``/``seed``/``max_burst``/``num_masters``/
-        ``warmup``/``arbiter_kwargs``).
+    :param points: :class:`~repro.experiments.system.Point` objects.
     :param strict: cross-check one sampled lane per engine group against
         the dense scalar simulator (raises
         :class:`~repro.vector.lanes.VectorDivergenceError` on any
@@ -139,29 +55,20 @@ def run_testbed_batch(points, strict=True, block_size=32):
     why).  Results carry a ``backend`` attribute
     (``"vector"`` or ``"scalar"``) and are bit-identical either way.
     """
-    specs = [_normalize_point(point) for point in points]
+    points = list(points)
     groups = {}
     fallbacks = []
-    for index, spec in enumerate(specs):
-        builder = make_testbed_builder(
-            spec["arbiter_name"],
-            spec["traffic_class_name"],
-            list(spec["weights"]),
-            seed=spec["seed"],
-            max_burst=spec["max_burst"],
-            num_masters=spec["num_masters"],
-            arbiter_kwargs=spec["arbiter_kwargs"],
-        )
-        label = _point_label(spec)
+    for index, point in enumerate(points):
+        label = "{}/{}/seed{}".format(point.arbiter, point.traffic, point.seed)
         try:
-            plan = plan_lane(builder, label=label)
+            plan = plan_lane(point.build, label=label)
         except UnsupportedConfigError as exc:
             fallbacks.append((index, label, str(exc)))
             continue
-        key = (spec["num_masters"], spec["warmup"], spec["cycles"])
-        groups.setdefault(key, []).append((index, spec, plan))
+        key = (point.num_masters, point.warmup, point.cycles)
+        groups.setdefault(key, []).append((index, point, plan))
 
-    results = [None] * len(specs)
+    results = [None] * len(points)
     checked_labels = []
     for (_, warmup, cycles), members in groups.items():
         engine = VectorEngine(
@@ -175,17 +82,22 @@ def run_testbed_batch(points, strict=True, block_size=32):
             lane = len(members) // 2
             engine.cross_check(lane)
             checked_labels.append(members[lane][2].label)
-        for lane, (index, spec, _) in enumerate(members):
+        for lane, (index, point, _) in enumerate(members):
             result = TestbedResult(
-                spec["arbiter_name"],
-                spec["traffic_class_name"],
-                spec["weights"],
+                point.arbiter, point.traffic, point.weights,
                 engine.lane_summary(lane),
             )
             result.backend = "vector"
             results[index] = result
     for index, _, _ in fallbacks:
-        result = _scalar_point(specs[index])
+        point = points[index]
+        # Through this module's run_testbed, once per fallback point.
+        result = run_testbed(
+            point.arbiter, point.traffic, point.weights,
+            cycles=point.cycles, seed=point.seed,
+            max_burst=point.max_burst, num_masters=point.num_masters,
+            warmup=point.warmup, **dict(point.kwargs)
+        )
         result.backend = "scalar"
         results[index] = result
     return BatchRun(results, fallbacks, len(groups), checked_labels)

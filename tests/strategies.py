@@ -9,6 +9,7 @@ claim is checked over the same space.
 from hypothesis import strategies as st
 
 from repro.arbiters.registry import available_arbiters
+from repro.experiments.system import Point
 from repro.traffic.classes import TRAFFIC_CLASSES
 
 
@@ -30,6 +31,24 @@ TESTBED_POINT = dict(
     setup_wait_states=st.integers(min_value=0, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+
+def points(**fields):
+    """Test-bed :class:`~repro.experiments.system.Point` objects built
+    from :data:`TESTBED_POINT`'s arbiter, traffic, weights, max_burst
+    and seed strategies, with short runs; a keyword replaces a field's
+    strategy (e.g. ``arbiter=st.just("tdma")``)."""
+    strategies = dict(
+        arbiter=TESTBED_POINT["arbiter"],
+        traffic=TESTBED_POINT["traffic"],
+        weights=TESTBED_POINT["weights"],
+        max_burst=TESTBED_POINT["max_burst"],
+        seed=TESTBED_POINT["seed"],
+        cycles=st.integers(min_value=200, max_value=2_000),
+        warmup=st.integers(min_value=0, max_value=200),
+    )
+    strategies.update(fields)
+    return st.builds(Point, **strategies)
+
 
 #: One retry policy and fault plan (see :mod:`repro.faults`).
 FAULT_PLAN = dict(

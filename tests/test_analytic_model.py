@@ -13,6 +13,7 @@ from repro.analytic.families import priority_ranks
 from repro.analytic.model import PERCENTILES
 from repro.arbiters.registry import make_arbiter
 from repro.experiments.sweep import SweepResult
+from repro.experiments.system import Point
 
 WEIGHTS = (12, 2, 6, 1)
 
@@ -107,13 +108,7 @@ def _grid_points():
     for arbiter_name in supported_arbiters():
         for traffic_name in ("T1", "T3", "T6", "T8"):
             for weights in (WEIGHTS, (1, 1, 1, 1)):
-                points.append(
-                    {
-                        "arbiter_name": arbiter_name,
-                        "traffic_class_name": traffic_name,
-                        "weights": weights,
-                    }
-                )
+                points.append(Point(arbiter_name, traffic_name, weights))
     return points
 
 
@@ -122,13 +117,13 @@ def test_score_grid_matches_predict():
     batch = score_grid(points, horizon=15_000, percentiles=True)
     for point, result in zip(points, batch):
         scalar = predict(
-            point["arbiter_name"],
-            point["traffic_class_name"],
-            weights=point["weights"],
+            point.arbiter,
+            point.traffic,
+            weights=point.weights,
             horizon=15_000,
         )
-        assert result.arbiter == point["arbiter_name"]
-        assert result.traffic == point["traffic_class_name"]
+        assert result.arbiter == point.arbiter
+        assert result.traffic == point.traffic
         assert result.utilization == pytest.approx(
             scalar.utilization, rel=1e-6, abs=1e-9
         )
@@ -151,15 +146,7 @@ def test_score_grid_rejects_unsupported_points():
     with pytest.raises(UnsupportedArbiterError):
         score_grid(
             [
-                {
-                    "arbiter_name": "lottery-static",
-                    "traffic_class_name": "T8",
-                    "weights": WEIGHTS,
-                },
-                {
-                    "arbiter_name": "token-ring",
-                    "traffic_class_name": "T8",
-                    "weights": WEIGHTS,
-                },
+                Point("lottery-static", "T8", WEIGHTS),
+                Point("token-ring", "T8", WEIGHTS),
             ]
         )

@@ -2,6 +2,7 @@
 header, gates, output path and CLI, on fake legs and shrunken real ones."""
 
 import json
+import os
 import time
 
 import pytest
@@ -107,3 +108,25 @@ def test_lint_leg_missing_the_warm_target_fails_only_that_gate(
         "warm_equals_cold": True,
         "warm_speedup_meets_target": False,
     }
+
+
+def test_lint_leg_reports_source_size_per_package(monkeypatch):
+    monkeypatch.setattr("repro.analysis.core.lint_paths",
+                        lambda paths, rules=None, cache=None: [])
+    size = bench.run_leg("lint", quick=True, repeats=1)["size"]
+    packages = size["packages"]
+    assert "repro" in packages and "repro.experiments" in packages
+    assert all(name == "repro" or name.startswith("repro.")
+               for name in packages)
+    assert all(entry["modules"] > 0 and entry["lines"] > 0
+               for entry in packages.values())
+    assert size["total"] == {
+        "modules": sum(e["modules"] for e in packages.values()),
+        "lines": sum(e["lines"] for e in packages.values()),
+    }
+    modules = sum(
+        name.endswith(".py")
+        for _, _, files in os.walk(os.path.join("src", "repro"))
+        for name in files
+    )
+    assert size["total"]["modules"] == modules

@@ -107,15 +107,15 @@ def test_testbed_compensation_quantum_is_the_bus_max_burst(monkeypatch):
 
 
 def test_batch_builder_compensation_quantum_is_the_bus_max_burst():
-    from repro.vector.backend import make_testbed_builder
+    from repro.experiments.system import Point
 
-    _, bus = make_testbed_builder(
+    _, bus = Point(
         "lottery-compensated", "T9", [1, 2, 3, 4], max_burst=8
-    )()
+    ).build()
     assert bus.max_burst == 8 and _quanta(bus.arbiter) == (8, 8)
     # An explicit quantum still wins.
-    _, bus = make_testbed_builder(
+    _, bus = Point(
         "lottery-compensated", "T9", [1, 2, 3, 4], max_burst=8,
-        arbiter_kwargs={"max_burst": 4},
-    )()
+        kwargs={"max_burst": 4},
+    ).build()
     assert _quanta(bus.arbiter) == (4, 4)

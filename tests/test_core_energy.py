@@ -14,7 +14,7 @@ from repro.metrics.collector import MetricsCollector
 def make_metrics(words_per_master, cycles, grants_per_master=None):
     collector = MetricsCollector(len(words_per_master))
     for _ in range(cycles):
-        collector.observe_cycle()
+        collector.cycles += 1  # what SharedBus.tick does per cycle
     for master, words in enumerate(words_per_master):
         for _ in range(words):
             collector.record_word(master)

@@ -105,7 +105,7 @@ def test_unscreenable_arbiter_goes_straight_to_simulation():
     conservative = [
         c for c in screened.candidates if c["conservative"]
     ]
-    assert [c["arbiter"] for c in conservative] == ["weighted-rr"]
+    assert [c["point"].arbiter for c in conservative] == ["weighted-rr"]
     assert all(c["survivor"] for c in conservative)
     assert any(
         row["arbiter"] == "weighted-rr" for row in screened.result.rows
@@ -122,7 +122,7 @@ def test_weights_grid_crosses_every_vector():
         top_k=8,
     )
     assert screened.funnel["scored"] == 2
-    got = {c["weights"] for c in screened.candidates}
+    got = {c["point"].weights for c in screened.candidates}
     assert got == {(12, 2, 6, 1), (1, 1, 1, 1)}
 
 
@@ -134,3 +134,72 @@ def test_bad_inputs_are_rejected():
     with pytest.raises(ValueError):
         run_screened_sweep(ARBITERS, TRAFFIC, backend="gpu")
     assert "worst_latency" in OBJECTIVES
+
+
+def _record_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def recorded(points, *args, **kwargs):
+        calls.append(list(points))
+        return original(points, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_confirmed_points_are_the_scored_points(monkeypatch):
+    import repro.analytic
+    import repro.vector
+
+    scored, confirmed = [], []
+    _record_calls(monkeypatch, repro.analytic, "score_grid", scored)
+    _record_calls(monkeypatch, repro.vector, "run_testbed_batch", confirmed)
+    screened = run_screened_sweep(
+        ARBITERS, ("T1", "T8"), weights=[WEIGHTS, (1, 1, 1, 1)],
+        cycles=1_500, seed=3, top_k=3, band_scale=2.0, backend="vector",
+    )
+    assert len(scored) == len(confirmed) == 1
+    survivors = [c["point"] for c in screened.candidates if c["survivor"]]
+    assert confirmed[0] == survivors
+    assert set(confirmed[0]) <= set(scored[0])
+    for point, row in zip(confirmed[0], screened.result.rows):
+        assert (row["arbiter"], row["traffic"]) == (point.arbiter,
+                                                    point.traffic)
+        assert point.max_burst == 16
+    # The bus is the point's: no separate scoring bus to diverge from.
+    with pytest.raises(TypeError):
+        run_screened_sweep(ARBITERS, TRAFFIC, max_burst=8)
+
+
+def test_unmodeled_kwargs_turn_only_that_candidate_conservative(
+    monkeypatch
+):
+    import repro.analytic
+
+    scored = []
+    _record_calls(monkeypatch, repro.analytic, "score_grid", scored)
+    # ticket_bits is a registry extra the simulator takes and the
+    # surrogate does not model.
+    screened = run_screened_sweep(
+        ("lottery-static", "lottery-dynamic", "static-priority"),
+        ("T8",),
+        weights=WEIGHTS,
+        cycles=1_500,
+        seed=3,
+        top_k=1,
+        arbiter_kwargs={"lottery-dynamic": {"ticket_bits": 8}},
+    )
+    by_arbiter = {c["point"].arbiter: c for c in screened.candidates}
+    unmodeled = by_arbiter["lottery-dynamic"]
+    assert unmodeled["conservative"] and unmodeled["survivor"]
+    assert unmodeled["score"] is None
+    for name in ("lottery-static", "static-priority"):
+        assert not by_arbiter[name]["conservative"]
+        assert by_arbiter[name]["score"] is not None
+    assert len(scored) == 1
+    assert [point.arbiter for point in scored[0]] == [
+        "lottery-static", "static-priority"
+    ]
+    assert screened.funnel["conservative"] == 1
+    assert any(
+        row["arbiter"] == "lottery-dynamic" for row in screened.result.rows
+    )

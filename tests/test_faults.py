@@ -88,7 +88,7 @@ def test_error_completion_schedules_retry_then_reissues():
     assert iface.queue_depth == 0
     iface.service(14)  # 10 + delay(1) = 14
     assert iface.queue_depth == 1
-    assert iface.head() is request
+    assert iface.queue[0] is request
 
 
 def test_retries_exhausted_aborts():
@@ -96,7 +96,7 @@ def test_retries_exhausted_aborts():
     request = iface.submit(3, 0)
     assert iface.complete_with_error(request, 0) == "retry"
     iface.service(10_000)
-    assert iface.complete_with_error(iface.head(), 10_001) == "abort"
+    assert iface.complete_with_error(iface.queue[0], 10_001) == "abort"
     assert request.aborted
     assert iface.aborted_requests == 1
 
@@ -141,7 +141,7 @@ def test_retire_removes_specific_request_not_head():
     iface._queue.appendleft(retried)  # retry re-entered at the front
     iface.retire(active)
     assert iface.queue_depth == 1
-    assert iface.head() is retried
+    assert iface.queue[0] is retried
 
 
 # -- injector fault channels ---------------------------------------------

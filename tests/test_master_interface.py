@@ -9,7 +9,7 @@ def test_submit_and_head():
     assert interface.has_request
     assert interface.queue_depth == 1
     assert interface.pending_words == 4
-    assert interface.head() is request
+    assert interface.queue[0] is request
 
 
 def test_pending_words_tracks_head_only():
@@ -25,7 +25,7 @@ def test_pop_advances_queue():
     first = interface.submit(4, 0)
     second = interface.submit(2, 0)
     assert interface.pop() is first
-    assert interface.head() is second
+    assert interface.queue[0] is second
 
 
 def test_idle_interface():

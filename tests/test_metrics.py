@@ -71,7 +71,7 @@ def test_latency_stats_empty():
 def test_collector_bandwidth_accounting():
     collector = MetricsCollector(3)
     for _ in range(10):
-        collector.observe_cycle()
+        collector.cycles += 1  # what SharedBus.tick does per cycle
     for _ in range(4):
         collector.record_word(0)
     for _ in range(2):
@@ -90,7 +90,7 @@ def test_collector_zero_cycles_safe():
 
 def test_collector_summary_keys():
     collector = MetricsCollector(2)
-    collector.observe_cycle()
+    collector.cycles += 1
     collector.record_word(1)
     summary = collector.summary()
     for key in (
@@ -110,7 +110,7 @@ def test_collector_summary_keys():
 
 def test_collector_reset():
     collector = MetricsCollector(2)
-    collector.observe_cycle()
+    collector.cycles += 1
     collector.record_word(0)
     collector.reset()
     assert collector.cycles == 0

@@ -19,7 +19,7 @@ from repro.bus.bus import SharedBus
 from repro.bus.master import MasterInterface
 from repro.bus.slave import Slave
 from repro.bus.topology import BusSystem
-from repro.experiments.system import run_testbed
+from repro.experiments.system import Point, run_testbed
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.traffic.classes import get_traffic_class
 from repro.vector import run_testbed_batch
@@ -95,9 +95,8 @@ def test_word_latencies_alias_latency_on_every_kernel(
          max_burst=16, seed=1)
 def test_vector_lanes_match_scalar_word_latencies(arbiter, traffic, weights,
                                                   max_burst, seed):
-    point = dict(arbiter_name=arbiter, traffic_class_name=traffic,
-                 weights=weights, cycles=CYCLES, seed=seed,
-                 max_burst=max_burst)
+    point = Point(arbiter, traffic, weights, cycles=CYCLES, seed=seed,
+                  max_burst=max_burst)
     lane = run_testbed_batch([point], strict=False).results[0]
     scalar = run_testbed(arbiter, traffic, weights, cycles=CYCLES, seed=seed,
                          max_burst=max_burst)

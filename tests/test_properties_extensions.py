@@ -40,7 +40,7 @@ def test_energy_is_nonnegative_and_monotone_in_words(words, cycles):
     hardware = estimate_static_manager(len(words), 16)
     collector = MetricsCollector(len(words))
     for _ in range(cycles):
-        collector.observe_cycle()
+        collector.cycles += 1  # what SharedBus.tick does per cycle
     for master, count in enumerate(words):
         for _ in range(min(count, cycles)):
             collector.record_word(master)

@@ -88,7 +88,7 @@ def test_closed_loop_think_times_are_geometric_with_pinned_mean():
     for cycle in range(60_000):
         sim.run(1)
         if interface.queue_depth > 0:
-            issues.append(interface.head().arrival_cycle)
+            issues.append(interface.queue[0].arrival_cycle)
             interface.pop()  # instant zero-latency service
     gaps = [b - a for a, b in zip(issues, issues[1:])]
     assert len(gaps) > 3_000

@@ -5,6 +5,7 @@ import pytest
 
 from repro.experiments.replication import run_replicated_testbed
 from repro.experiments.sweep import run_sweep
+from repro.experiments.system import Point
 
 ARCHS = ("static-priority", "lottery-static", "lottery-compensated")
 WEIGHTS = (12, 2, 6, 1)
@@ -41,12 +42,9 @@ def test_batch_points_carry_backend_attribute():
 
     batch = run_testbed_batch(
         [
-            dict(arbiter_name="lottery-static", traffic_class_name="T8",
-                 weights=list(WEIGHTS), cycles=600, seed=1),
-            dict(arbiter_name="lottery-static", traffic_class_name="T6",
-                 weights=list(WEIGHTS), cycles=600, seed=1),
-            dict(arbiter_name="round-robin", traffic_class_name="T8",
-                 weights=list(WEIGHTS), cycles=600, seed=1),
+            Point("lottery-static", "T8", WEIGHTS, cycles=600, seed=1),
+            Point("lottery-static", "T6", WEIGHTS, cycles=600, seed=1),
+            Point("round-robin", "T8", WEIGHTS, cycles=600, seed=1),
         ]
     )
     assert [result.backend for result in batch.results] == [
@@ -63,8 +61,7 @@ def test_strict_cross_check_runs_by_default():
 
     batch = run_testbed_batch(
         [
-            dict(arbiter_name=name, traffic_class_name="T8",
-                 weights=list(WEIGHTS), cycles=500, seed=2)
+            Point(name, "T8", WEIGHTS, cycles=500, seed=2)
             for name in ARCHS
         ]
     )

@@ -11,9 +11,9 @@ from repro.bus.bus import SharedBus
 from repro.bus.master import MasterInterface
 from repro.bus.slave import Slave
 from repro.bus.topology import BusSystem, build_single_bus_system
+from repro.experiments.system import Point
 from repro.traffic.generator import PoissonGenerator, SaturatingGenerator
 from repro.traffic.message import FixedWords, UniformWords
-from repro.vector.backend import make_testbed_builder
 from repro.vector.engine import VectorEngine
 from repro.vector.lanes import (
     UnsupportedConfigError,
@@ -51,10 +51,8 @@ def _check_all(plans, cycles, warmup=0):
 def test_closed_loop_traffic_matches_scalar(arbiter_name, kwargs):
     plans = [
         plan_lane(
-            make_testbed_builder(
-                arbiter_name, traffic, WEIGHTS, seed=seed,
-                arbiter_kwargs=kwargs,
-            ),
+            Point(arbiter_name, traffic, WEIGHTS, seed=seed,
+                  kwargs=kwargs).build,
             label="{}/{}".format(traffic, seed),
         )
         for traffic in ("T1", "T8", "T9")
@@ -128,8 +126,7 @@ def test_arbitration_penalty_and_wait_states():
 def test_mixed_architectures_share_one_engine():
     plans = [
         plan_lane(
-            make_testbed_builder(name, "T8", WEIGHTS, seed=2,
-                                 arbiter_kwargs=kwargs)
+            Point(name, "T8", WEIGHTS, seed=2, kwargs=kwargs).build
         )
         for name, kwargs in ARBITERS
     ]
@@ -137,7 +134,7 @@ def test_mixed_architectures_share_one_engine():
 
 
 def test_metric_tamper_is_caught():
-    plans = [plan_lane(make_testbed_builder("lottery-static", "T8", WEIGHTS))]
+    plans = [plan_lane(Point("lottery-static", "T8", WEIGHTS).build)]
     engine = _engine(plans, cycles=800)
     engine.cross_check(0)
     engine.m_words[0, 1] += 1
@@ -147,7 +144,7 @@ def test_metric_tamper_is_caught():
 
 def test_arbiter_state_tamper_is_caught():
     plans = [
-        plan_lane(make_testbed_builder("lottery-compensated", "T8", WEIGHTS))
+        plan_lane(Point("lottery-compensated", "T8", WEIGHTS).build)
     ]
     engine = _engine(plans, cycles=800)
     engine.cross_check(0)
@@ -158,7 +155,7 @@ def test_arbiter_state_tamper_is_caught():
 
 def test_unsupported_arbiter_is_rejected():
     with pytest.raises(UnsupportedConfigError):
-        plan_lane(make_testbed_builder("round-robin", "T8", WEIGHTS))
+        plan_lane(Point("round-robin", "T8", WEIGHTS).build)
 
 
 def test_unsupported_generator_is_rejected():
@@ -197,7 +194,7 @@ def test_lanes_must_share_master_count():
         return build_single_bus_system(2, arbiter)
 
     plans = [
-        plan_lane(make_testbed_builder("lottery-static", "T8", WEIGHTS)),
+        plan_lane(Point("lottery-static", "T8", WEIGHTS).build),
         plan_lane(build_two),
     ]
     with pytest.raises(ValueError):
