@@ -105,7 +105,7 @@ class _FuncExtractor:
             params.append(args.vararg.arg)
         if args.kwarg is not None:
             params.append(args.kwarg.arg)
-        # Callable defaults (``task_runner=run_task_spec``) are indirect
+        # Callable defaults (``func=helper``) are indirect
         # call edges when the parameter is later invoked.
         # ``None`` defaults are recorded for the seed rule (LB203).
         callable_defaults = {}

@@ -22,11 +22,10 @@ def _make_static_priority(num_masters, weights):
     return StaticPriorityArbiter(priorities)
 
 
-# The keyword extras each scheme's factory takes.  ``None`` marks the
-# schemes whose factories take none and ignore whatever is passed.
+# The keyword extras each scheme's factory takes.
 _EXTRAS = {
-    "static-priority": None,
-    "round-robin": None,
+    "static-priority": (),
+    "round-robin": (),
     "tdma": ("reclaim",),
     "token-ring": ("hold_limit",),
     "lottery-static": (
@@ -52,8 +51,6 @@ def check_arbiter(name, extras):
     if name not in _EXTRAS:
         raise _unknown_arbiter(name)
     known = _EXTRAS[name]
-    if known is None or not extras:
-        return
     unknown = sorted(set(extras).difference(known))
     if unknown:
         raise ValueError(
@@ -74,8 +71,11 @@ def make_arbiter(name, num_masters, weights=None, **kwargs):
     :param num_masters: masters on the bus.
     :param weights: positive per-master weights (default all ones).
     :param kwargs: scheme-specific extras (e.g. ``lfsr_seed``,
-        ``reclaim_idle``, ``hold_limit``).
+        ``reclaim``, ``hold_limit``); an unknown name or an extra its
+        factory does not take raises :class:`ValueError`
+        (:func:`check_arbiter`).
     """
+    check_arbiter(name, kwargs)
     if weights is None:
         weights = [1] * num_masters
     if len(weights) != num_masters:

@@ -28,12 +28,7 @@ import tempfile
 from repro.chaos.injector import ChaosInjector
 from repro.chaos.plan import ChaosPlan
 from repro.experiments.runner import experiment_names
-from repro.experiments.supervisor import (
-    Supervisor,
-    TaskSpec,
-    run_campaign,
-    run_task_spec,
-)
+from repro.experiments.supervisor import JobSpec, Supervisor, run_campaign
 
 DEFAULT_EXPERIMENTS = ("table1",)
 
@@ -227,18 +222,18 @@ def run_chaos(args, workdir, injector, on_event=None):
     )
 
 
-def poison_task_runner(spec, resume):
+def poison_task_runner(spec, checkpointer):
     """Pool task runner whose ``chaos-poison`` task kills its worker.
 
     ``os._exit`` sidesteps every exception handler in the worker loop —
     from the supervisor's seat this is indistinguishable from an OOM
     kill or a segfaulting native extension, which is the point.
     """
-    if spec.name == "chaos-poison":
+    if spec.experiment == "chaos-poison":
         os._exit(23)
-    if spec.name.startswith("chaos-"):
-        return "ok:{}".format(spec.name)
-    return run_task_spec(spec, resume)
+    if spec.experiment.startswith("chaos-"):
+        return "ok:{}".format(spec.experiment)
+    return spec.run(checkpointer)
 
 
 def run_poison_demo(args, on_event=None):
@@ -254,7 +249,7 @@ def run_poison_demo(args, on_event=None):
         circuit_breaker=None,
         task_runner=poison_task_runner,
     )
-    specs = [TaskSpec("chaos-poison"), TaskSpec("chaos-clean")]
+    specs = {name: JobSpec(name) for name in ("chaos-poison", "chaos-clean")}
     outcomes = supervisor.run(specs, on_event=on_event)
     problems = []
     poison = outcomes.get("chaos-poison")

@@ -27,10 +27,9 @@ import sys
 import threading
 import time
 
-from repro.experiments.runner import run_experiment
+from repro.experiments import JobSpec
 from repro.service.client import ServiceClient
 from repro.service.http import pick_free_port
-from repro.service.models import JobSpec
 from repro.service.wal import JobWAL
 
 #: Client threads hammering the server concurrently; every thread
@@ -58,11 +57,7 @@ def _reference_reports(specs, on_event=None):
             on_event("service reference: {} seed {}".format(
                 spec.experiment, spec.seed
             ))
-        result = run_experiment(
-            spec.experiment, scale=spec.scale, seed=spec.seed,
-            _warn_seedless=False, **spec.options
-        )
-        reports[spec.key()] = result.format_report()
+        reports[spec.key()] = spec.run()
     return reports
 
 

@@ -29,21 +29,21 @@ from repro.experiments.starvation import run_starvation
 from repro.experiments.sweep import run_sweep
 from repro.experiments.system import Point, run_testbed
 from repro.experiments.supervisor import (
+    JobSpec,
     ResultStore,
     Supervisor,
-    TaskSpec,
     run_campaign,
 )
 from repro.experiments.table1 import run_table1
 
 __all__ = [
     "ExperimentCheckpointer",
+    "JobSpec",
     "Point",
     "ResultStore",
     "ScreenedSweepResult",
     "StageCheckpoint",
     "Supervisor",
-    "TaskSpec",
     "build_fault_testbed",
     "run_campaign",
     "run_fault_sweep",

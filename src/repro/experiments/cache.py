@@ -56,17 +56,6 @@ def cache_key(experiment, config, seed, schema_version=SCHEMA_VERSION):
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def experiment_key(name, scale=1.0, seed=1, options=None,
-                   schema_version=SCHEMA_VERSION):
-    """The campaign engine's key for one registry experiment task."""
-    return cache_key(
-        name,
-        {"scale": scale, "options": dict(options or {})},
-        seed,
-        schema_version=schema_version,
-    )
-
-
 class CacheStats:
     """Hit/miss/store/invalidation/eviction counters for one cache."""
 
@@ -185,6 +174,11 @@ class ResultCache:
         if self.chaos is not None:
             self.chaos.maybe_corrupt_cache_entry(path)
         self._evict_if_needed(keep=path)
+
+    def put_report(self, key, experiment, report):
+        """Store one finished report: the one record shape campaigns and
+        the service both publish, so each can serve the other's work."""
+        self.put(key, {"name": experiment, "report": report})
 
     def _envelope_ok(self, envelope, key):
         if not isinstance(envelope, dict):

@@ -79,7 +79,7 @@ import time
 from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 
-from repro.experiments.cache import ResultCache, experiment_key
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.errors import (
     CampaignDrained,
     CampaignError,
@@ -180,40 +180,90 @@ class ResultStore(RecordLog):
         }
 
 
-class TaskSpec:
-    """One supervised unit of work: a single registry experiment."""
+class JobSpec:
+    """One run of one registry experiment: ``(experiment, scale, seed,
+    options)``, the unit a campaign task, a service job and a chaos
+    reference all describe.
 
-    def __init__(self, name, scale=1.0, seed=1, options=None,
-                 checkpoint_dir=None, checkpoint_every=None, resume=False):
-        self.name = name
+    Identity is the content-addressed :meth:`key`: two specs with the
+    same four fields are the *same* work, no matter who asked for it or
+    when, so campaigns, the service and the chaos harness share one
+    memo table.
+    """
+
+    __slots__ = ("experiment", "scale", "seed", "options")
+
+    def __init__(self, experiment, scale=1.0, seed=1, options=None):
+        self.experiment = experiment
         self.scale = scale
         self.seed = seed
         self.options = dict(options or {})
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.resume = resume
+
+    def key(self):
+        """The result-cache key, which is also the service's
+        idempotency key."""
+        return cache_key(
+            self.experiment,
+            {"scale": self.scale, "options": self.options},
+            self.seed,
+        )
+
+    def run(self, checkpointer=None):
+        """Run the experiment in this process; returns the report text."""
+        options = dict(self.options)
+        if checkpointer is not None:
+            options["checkpointer"] = checkpointer
+        result = run_experiment(
+            self.experiment, scale=self.scale, seed=self.seed,
+            _warn_seedless=False, **options
+        )
+        return result.format_report()
+
+    def as_dict(self):
+        return {
+            "experiment": self.experiment,
+            "scale": self.scale,
+            "seed": self.seed,
+            "options": dict(self.options),
+        }
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Rebuild a spec from its ``as_dict`` form (WAL replay path).
+
+        Replay trusts the WAL's CRC, not the registry: an experiment
+        renamed between restarts still replays (and then fails typed at
+        execution time) instead of wedging recovery.
+        """
+        return cls(
+            payload["experiment"],
+            scale=payload.get("scale", 1.0),
+            seed=payload.get("seed", 1),
+            options=payload.get("options") or {},
+        )
+
+    def __repr__(self):
+        return "JobSpec({!r}, scale={}, seed={})".format(
+            self.experiment, self.scale, self.seed
+        )
 
 
-def run_task_spec(spec, resume):
-    """Execute one task spec in-process; returns the report text.
+def _run_task(task_runner, spec, checkpoint, resume):
+    """Run one task attempt in this process; returns the report text.
 
-    The default task runner of pool workers and of degraded in-process
-    execution, so both produce byte-identical reports.
+    Pool workers and degraded in-process execution both come through
+    here, so a task checkpoints identically whichever ran it.
+    ``checkpoint`` is ``None`` or the task's ``(directory, every)``.
     """
-    kwargs = dict(spec.options)
-    if spec.checkpoint_dir is not None:
+    checkpointer = None
+    if checkpoint is not None:
         from repro.experiments.checkpoint import task_checkpointer
 
-        kwargs["checkpointer"] = task_checkpointer(
-            spec.checkpoint_dir,
-            every=spec.checkpoint_every,
-            resume=resume,
+        directory, every = checkpoint
+        checkpointer = task_checkpointer(
+            directory, every=every, resume=resume
         )
-    result = run_experiment(
-        spec.name, scale=spec.scale, seed=spec.seed,
-        _warn_seedless=False, **kwargs
-    )
-    return result.format_report()
+    return task_runner(spec, checkpointer)
 
 
 def _die_with_parent():
@@ -260,7 +310,7 @@ def _serve_pool_tasks(conn, task_runner, heartbeat_interval=None,
     """A persistent pool worker: preload once, serve tasks until told
     to stop.
 
-    Protocol (parent -> worker): ``("task", spec, resume)``,
+    Protocol (parent -> worker): ``("task", spec, checkpoint, resume)``,
     ``("call", func, args, kwargs)``, ``("stop",)``.
     Worker -> parent: ``("ok", payload)``, ``("error", message)``, plus
     unsolicited ``("heartbeat",)`` frames from a side thread when
@@ -308,8 +358,7 @@ def _serve_pool_tasks(conn, task_runner, heartbeat_interval=None,
             break
         try:
             if kind == "task":
-                _, spec, resume = message
-                send(("ok", task_runner(spec, resume)))
+                send(("ok", _run_task(task_runner, *message[1:])))
             elif kind == "call":
                 _, func, args, kwargs = message
                 send(("ok", func(*args, **(kwargs or {}))))
@@ -405,8 +454,9 @@ class WorkerPool:
     """A set of persistent worker processes sharing one task protocol.
 
     :param jobs: maximum concurrent workers (spawned lazily).
-    :param task_runner: the in-worker task executor (injectable for
-        tests); must be a module-level callable.
+    :param task_runner: the in-worker task executor of
+        ``(spec, checkpointer)`` (injectable for tests); must be a
+        module-level callable.
     :param heartbeat_interval: seconds between worker heartbeat frames
         (``None`` disables heartbeats — e.g. :func:`pool_map`, whose
         protocol has no liveness checks).
@@ -415,7 +465,7 @@ class WorkerPool:
         stream from its worker id.
     """
 
-    def __init__(self, jobs=None, task_runner=run_task_spec, context=None,
+    def __init__(self, jobs=None, task_runner=JobSpec.run, context=None,
                  heartbeat_interval=None, worker_chaos=None):
         if jobs is None:
             jobs = default_jobs()
@@ -476,7 +526,7 @@ class WorkerPool:
         self.idle = []
 
 
-def pool_map(func, calls, jobs=None, task_runner=run_task_spec):
+def pool_map(func, calls, jobs=None):
     """Apply a module-level ``func`` over argument tuples, in parallel.
 
     The intra-experiment fan-out primitive: sweep points, figure
@@ -489,7 +539,7 @@ def pool_map(func, calls, jobs=None, task_runner=run_task_spec):
     calls = [tuple(call) for call in calls]
     if jobs is None or jobs <= 1 or len(calls) <= 1:
         return [func(*call) for call in calls]
-    pool = WorkerPool(jobs=min(jobs, len(calls)), task_runner=task_runner)
+    pool = WorkerPool(jobs=min(jobs, len(calls)))
     results = [None] * len(calls)
     busy = {}  # worker -> call index
     next_index = 0
@@ -541,16 +591,16 @@ def _ignore_event(message):
 
 
 class _Task:
-    """One attempt at a task spec, with its wall-clock deadline."""
+    """One attempt at a labelled task, with its wall-clock deadline."""
 
-    def __init__(self, spec, attempt, deadline=None):
-        self.spec = spec
+    def __init__(self, label, attempt, deadline=None):
+        self.label = label
         self.attempt = attempt
         self.deadline = deadline
 
 
 class Supervisor:
-    """Runs task specs on a supervised persistent worker pool.
+    """Runs labelled job specs on a supervised persistent worker pool.
 
     :param jobs: maximum concurrently running workers (``None`` = all
         CPUs, via :func:`default_jobs`).
@@ -560,7 +610,8 @@ class Supervisor:
         each further attempt).
     :param poll_interval: supervisor loop sleep between health checks.
     :param task_runner: in-pool task executor (injectable for tests);
-        must be a module-level callable of ``(spec, resume)``.
+        must be a module-level callable of ``(spec, checkpointer)``
+        returning the report text.
     :param heartbeat_interval: seconds between worker heartbeat frames
         (``None`` disables liveness checks).
     :param heartbeat_timeout: seconds of heartbeat silence after which
@@ -582,7 +633,7 @@ class Supervisor:
     """
 
     def __init__(self, jobs=None, timeout=None, retries=1, backoff=0.5,
-                 poll_interval=0.05, task_runner=run_task_spec,
+                 poll_interval=0.05, task_runner=JobSpec.run,
                  heartbeat_interval=0.5, heartbeat_timeout=10.0,
                  quarantine_after=3,
                  circuit_breaker=6, chaos=None, drain_on_sigterm=True):
@@ -623,6 +674,9 @@ class Supervisor:
         self._crash_streak = 0
         self._draining = False
         self._drain_announced = False
+        self._specs = {}
+        self._checkpoints = {}
+        self._resume = False
 
     def request_drain(self):
         """Stop dispatching; finish in-flight tasks; then raise
@@ -638,8 +692,16 @@ class Supervisor:
     def _handle_sigterm(self, signum, frame):
         self.request_drain()
 
-    def run(self, specs, store=None, on_event=None):
-        """Run every spec; returns {name: TaskOutcome}.
+    def run(self, specs, store=None, on_event=None, resume=False,
+            checkpoints=None):
+        """Run every task; returns {label: TaskOutcome}.
+
+        ``specs`` maps each task's label (a campaign's experiment name,
+        a service's job id) to its :class:`JobSpec`; tasks dispatch in
+        its order.  ``checkpoints`` maps the labels of checkpoint-aware
+        tasks to their ``(directory, every)``; ``resume`` makes their
+        first attempts resume from those checkpoints, as every retry
+        does.
 
         Completed tasks are appended to ``store`` as they finish.  A
         KeyboardInterrupt terminates all workers before propagating, so
@@ -649,7 +711,9 @@ class Supervisor:
         the settled outcomes) is raised so the caller can exit 143 and
         later ``--resume``.
         """
-        specs = list(specs)
+        self._specs = dict(specs)
+        self._checkpoints = dict(checkpoints or {})
+        self._resume = resume
         self._crash_counts = {}
         self._crash_streak = 0
         self._draining = False
@@ -667,13 +731,13 @@ class Supervisor:
             except (ValueError, OSError):
                 pass  # embedded interpreters without signal support
         try:
-            outcomes = self._run_pooled(specs, store, on_event)
+            outcomes = self._run_pooled(store, on_event)
         finally:
             if installed:
                 signal.signal(signal.SIGTERM, previous_handler)
         if self._draining:
             pending = [
-                spec.name for spec in specs if spec.name not in outcomes
+                label for label in self._specs if label not in outcomes
             ]
             if pending:
                 raise CampaignDrained(outcomes, pending)
@@ -681,9 +745,18 @@ class Supervisor:
 
     # -- shared bookkeeping ------------------------------------------------
 
+    def _task_args(self, task):
+        """``(spec, checkpoint, resume)`` for one attempt: the payload of
+        its ``("task", ...)`` frame and of :func:`_run_task`."""
+        return (
+            self._specs[task.label],
+            self._checkpoints.get(task.label),
+            self._resume or task.attempt > 1,
+        )
+
     def _make_settle(self, outcomes, store, emit):
         def settle(task, status, report=None, error=None):
-            name = task.spec.name
+            name = task.label
             if status == "done":
                 # Success resets the poison and churn accounting.
                 self._crash_counts.pop(name, None)
@@ -716,7 +789,7 @@ class Supervisor:
 
     def _make_retry_or_fail(self, pending, settle, emit):
         def retry_or_fail(task, error):
-            name = task.spec.name
+            name = task.label
             if not isinstance(error, CampaignError):
                 error = TaskError(str(error))
             if error.counts_as_crash:
@@ -749,7 +822,7 @@ class Supervisor:
                     )
                 )
                 pending.append(
-                    (task.spec, task.attempt + 1, time.monotonic() + delay)
+                    (name, task.attempt + 1, time.monotonic() + delay)
                 )
             else:
                 emit(
@@ -770,9 +843,9 @@ class Supervisor:
 
     # -- pooled execution --------------------------------------------------
 
-    def _run_pooled(self, specs, store, on_event):
+    def _run_pooled(self, store, on_event):
         emit = on_event if on_event is not None else _ignore_event
-        pending = deque((spec, 1, 0.0) for spec in specs)
+        pending = deque((label, 1, 0.0) for label in self._specs)
         outcomes = {}
         settle = self._make_settle(outcomes, store, emit)
         retry_or_fail = self._make_retry_or_fail(pending, settle, emit)
@@ -798,27 +871,27 @@ class Supervisor:
                 # dispatch entirely; in-flight tasks still finish.
                 blocked = []
                 while pending and not self._draining:
-                    spec, attempt, not_before = pending.popleft()
+                    label, attempt, not_before = pending.popleft()
                     if not_before > now:
-                        blocked.append((spec, attempt, not_before))
+                        blocked.append((label, attempt, not_before))
                         continue
                     worker = pool.checkout(len(busy))
                     if worker is None:
-                        blocked.append((spec, attempt, not_before))
+                        blocked.append((label, attempt, not_before))
                         break
-                    resume = spec.resume or attempt > 1
-                    worker.send(("task", spec, resume))
-                    # The liveness clock starts at dispatch so a long
-                    # idle gap can never count against the worker.
-                    worker.last_heartbeat = now
                     deadline = (
                         None if self.timeout is None
                         else now + self.timeout
                     )
-                    busy[worker] = _Task(spec, attempt, deadline)
+                    task = _Task(label, attempt, deadline)
+                    worker.send(("task",) + self._task_args(task))
+                    # The liveness clock starts at dispatch so a long
+                    # idle gap can never count against the worker.
+                    worker.last_heartbeat = now
+                    busy[worker] = task
                     emit(
                         "task {}: started (attempt {}/{}) on worker {}".format(
-                            spec.name, attempt, self.retries + 1, worker.id
+                            label, attempt, self.retries + 1, worker.id
                         )
                     )
                     if self.chaos is not None:
@@ -826,7 +899,7 @@ class Supervisor:
                         if action:
                             emit(
                                 "chaos: {} worker {} (task {})".format(
-                                    action, worker.id, spec.name
+                                    action, worker.id, label
                                 )
                             )
                 pending.extendleft(reversed(blocked))
@@ -875,7 +948,7 @@ class Supervisor:
         message = worker.poll_message()
         if message is not None:
             if message[0] == "ok":
-                emit("task {}: done".format(task.spec.name))
+                emit("task {}: done".format(task.label))
                 settle(task, "done", report=message[1])
                 return True, False
             if message[0] == "error":
@@ -944,7 +1017,7 @@ class Supervisor:
             )
         )
         requeue = [
-            (task.spec, task.attempt, 0.0) for task in busy.values()
+            (task.label, task.attempt, 0.0) for task in busy.values()
         ]
         pool.terminate_all(extra=list(busy))
         self.workers_spawned = pool.spawned
@@ -962,24 +1035,23 @@ class Supervisor:
             self._announce_drain(emit, pending)
             if self._draining:
                 return
-            spec, attempt, not_before = pending.popleft()
+            label, attempt, not_before = pending.popleft()
             wait = not_before - time.monotonic()
             if wait > 0:
                 time.sleep(wait)
-            task = _Task(spec, attempt)
-            contained = bool(self._crash_counts.get(spec.name))
+            task = _Task(label, attempt)
+            contained = bool(self._crash_counts.get(label))
             emit(
                 "task {}: started (attempt {}/{}) [degraded, {}]".format(
-                    spec.name, attempt, self.retries + 1,
+                    label, attempt, self.retries + 1,
                     "contained" if contained else "in-process",
                 )
             )
             if contained:
                 self._run_contained(task, settle, retry_or_fail, emit)
                 continue
-            resume = spec.resume or attempt > 1
             try:
-                report = self.task_runner(spec, resume)
+                report = _run_task(self.task_runner, *self._task_args(task))
             except Exception as error:
                 retry_or_fail(
                     task,
@@ -988,7 +1060,7 @@ class Supervisor:
                     ),
                 )
             else:
-                emit("task {}: done".format(spec.name))
+                emit("task {}: done".format(label))
                 settle(task, "done", report=report)
 
     def _run_contained(self, task, settle, retry_or_fail, emit):
@@ -1002,10 +1074,9 @@ class Supervisor:
         if self.timeout is not None:
             task.deadline = now + self.timeout
         worker.last_heartbeat = now
-        resume = task.spec.resume or task.attempt > 1
         crashed = True
         try:
-            worker.send(("task", task.spec, resume))
+            worker.send(("task",) + self._task_args(task))
             finished = False
             while not finished:
                 _wait_connections([worker.conn], timeout=self.poll_interval)
@@ -1131,16 +1202,13 @@ def run_campaign(names=None, scale=1.0, seed=1, jobs=None, timeout=None,
     for name in skipped:
         emit("task {}: already complete, skipping".format(name))
 
-    keys = {
-        name: experiment_key(name, scale=scale, seed=seed)
-        for name in names
-    }
+    specs = {name: JobSpec(name, scale=scale, seed=seed) for name in names}
     cached = []
     if cache is not None:
         for name in names:
             if name in completed:
                 continue
-            record = cache.get(keys[name])
+            record = cache.get(specs[name].key())
             if record is None:
                 continue
             cached.append(name)
@@ -1166,25 +1234,15 @@ def run_campaign(names=None, scale=1.0, seed=1, jobs=None, timeout=None,
                 )
             emit("task {}: cache hit, skipping".format(name))
 
+    todo = {
+        name: spec for name, spec in specs.items() if name not in completed
+    }
     aware = checkpoint_aware_experiments()
-    specs = []
-    for name in names:
-        if name in completed:
-            continue
-        specs.append(
-            TaskSpec(
-                name,
-                scale=scale,
-                seed=seed,
-                checkpoint_dir=(
-                    os.path.join(checkpoint_dir, name)
-                    if name in aware
-                    else None
-                ),
-                checkpoint_every=checkpoint_every,
-                resume=resume,
-            )
-        )
+    checkpoints = {
+        name: (os.path.join(checkpoint_dir, name), checkpoint_every)
+        for name in todo
+        if name in aware
+    }
 
     if supervisor is None:
         supervisor = Supervisor(
@@ -1198,9 +1256,7 @@ def run_campaign(names=None, scale=1.0, seed=1, jobs=None, timeout=None,
             if outcome.status != "done":
                 continue
             try:
-                cache.put(
-                    keys[name], {"name": name, "report": outcome.report}
-                )
+                cache.put_report(specs[name].key(), name, outcome.report)
             except OSError as error:
                 emit(
                     "cache store failed for task {} ({}); "
@@ -1208,7 +1264,10 @@ def run_campaign(names=None, scale=1.0, seed=1, jobs=None, timeout=None,
                 )
 
     try:
-        outcomes = supervisor.run(specs, store=store, on_event=on_event)
+        outcomes = supervisor.run(
+            todo, store=store, on_event=on_event, resume=resume,
+            checkpoints=checkpoints,
+        )
     except CampaignDrained as drained:
         # What finished is safely stored and cached; the caller exits
         # 143 and a later --resume runs only the pending remainder.

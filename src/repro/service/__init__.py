@@ -26,10 +26,10 @@ warm content-addressed cache:
   harness, the benchmark and the tests.
 """
 
+from repro.experiments import JobSpec
 from repro.service.core import ServiceCore
 from repro.service.engine import ServiceEngine
 from repro.service.models import (
-    JobSpec,
     JobState,
     ServiceError,
     validate_submission,

@@ -34,24 +34,19 @@ import threading
 
 from repro.experiments.errors import CampaignDrained
 from repro.experiments.runner import run_experiment
-from repro.experiments.supervisor import Supervisor, TaskSpec
+from repro.experiments.supervisor import Supervisor
 
 
-def service_task_runner(spec, resume):
+def service_task_runner(spec, checkpointer):
     """In-worker executor for service jobs (module-level, pool-picklable).
 
-    The :class:`~repro.experiments.supervisor.TaskSpec` name is the
-    *job id* (unique per supervisor batch even when two jobs run the
-    same experiment with different seeds); the experiment identity
-    rides in ``spec.options``.
+    Service jobs carry no checkpoint placement, so ``checkpointer`` is
+    always ``None``.
     """
-    options = spec.options
+    # Not spec.run(): the e2e benchmark wraps this module's run_experiment.
     result = run_experiment(
-        options["experiment"],
-        scale=spec.scale,
-        seed=spec.seed,
-        _warn_seedless=False,
-        **options.get("options", {})
+        spec.experiment, scale=spec.scale, seed=spec.seed,
+        _warn_seedless=False, **spec.options
     )
     return result.format_report()
 
@@ -192,24 +187,12 @@ class ServiceEngine:
             return
 
         by_id = {}
-        specs = []
         for job in to_run:
             self.queue.mark_running(job.id)
             by_id[job.id] = job
-            specs.append(
-                TaskSpec(
-                    job.id,
-                    scale=job.spec.scale,
-                    seed=job.spec.seed,
-                    options={
-                        "experiment": job.spec.experiment,
-                        "options": job.spec.options,
-                    },
-                )
-            )
 
         supervisor = Supervisor(
-            jobs=min(self.jobs, len(specs)),
+            jobs=min(self.jobs, len(by_id)),
             timeout=self.timeout,
             retries=self.retries,
             backoff=self.backoff,
@@ -238,7 +221,12 @@ class ServiceEngine:
 
         adapter = _SettleAdapter(settle)
         try:
-            supervisor.run(specs, store=adapter, on_event=self.on_event)
+            # The job id labels each task: unique within the batch even
+            # when two jobs run one experiment with different seeds.
+            supervisor.run(
+                {job_id: job.spec for job_id, job in by_id.items()},
+                store=adapter, on_event=self.on_event,
+            )
         except CampaignDrained as drained:
             # In-flight tasks finished and settled; the rest are rewound
             # by the reconciliation below.
@@ -278,9 +266,8 @@ class ServiceEngine:
                 self.executed += 1
             if self.cache is not None:
                 try:
-                    self.cache.put(
-                        job.key, {"name": job.spec.experiment,
-                                  "report": report}
+                    self.cache.put_report(
+                        job.key, job.spec.experiment, report
                     )
                 except OSError as error:
                     self._emit(

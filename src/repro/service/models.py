@@ -4,10 +4,11 @@ A submission is JSON: ``{"experiment": name, "scale": s, "seed": n,
 "options": {...}}`` (a sweep adds ``"seeds": [...]``).  Validation is
 dependency-free and strict — every defect is a typed
 :class:`SpecValidationError` naming the field, never a traceback out of
-the server — and a validated spec's **idempotency key** is exactly the
-campaign engine's content-addressed cache key
-(:func:`repro.experiments.cache.experiment_key`), so the service, the
-CLI and the chaos harness all address the same memo table.
+the server — and yields the campaign engine's own
+:class:`repro.experiments.JobSpec`, whose :meth:`~repro.experiments.JobSpec.key`
+is both the service's **idempotency key** and the content-addressed
+cache key, so the service, the CLI and the chaos harness all address
+the same memo table.
 
 Errors follow the campaign engine's taxonomy style
 (:mod:`repro.experiments.errors`): each :class:`ServiceError` subclass
@@ -19,7 +20,7 @@ truth.
 
 import math
 
-from repro.experiments.cache import experiment_key
+from repro.experiments import JobSpec
 from repro.experiments.runner import experiment_names
 from repro.ioutil import canonical_json
 
@@ -220,58 +221,6 @@ def _reject_unknown_fields(payload, known):
     if unknown:
         raise SpecValidationError(
             "unknown field(s): {}".format(", ".join(unknown))
-        )
-
-
-class JobSpec:
-    """One validated, immutable unit of exploration work.
-
-    Identity is the content-addressed idempotency key: two specs with
-    the same (experiment, scale, seed, options) are the *same* work, no
-    matter who submitted them or when.
-    """
-
-    __slots__ = ("experiment", "scale", "seed", "options")
-
-    def __init__(self, experiment, scale=1.0, seed=1, options=None):
-        self.experiment = experiment
-        self.scale = scale
-        self.seed = seed
-        self.options = dict(options or {})
-
-    def key(self):
-        """The idempotency key — the campaign cache key, verbatim."""
-        return experiment_key(
-            self.experiment, scale=self.scale, seed=self.seed,
-            options=self.options,
-        )
-
-    def as_dict(self):
-        return {
-            "experiment": self.experiment,
-            "scale": self.scale,
-            "seed": self.seed,
-            "options": dict(self.options),
-        }
-
-    @classmethod
-    def from_dict(cls, payload):
-        """Rebuild a spec from its ``as_dict`` form (WAL replay path).
-
-        Replay trusts the WAL's CRC, not the registry: an experiment
-        renamed between restarts still replays (and then fails typed at
-        execution time) instead of wedging recovery.
-        """
-        return cls(
-            payload["experiment"],
-            scale=payload.get("scale", 1.0),
-            seed=payload.get("seed", 1),
-            options=payload.get("options") or {},
-        )
-
-    def __repr__(self):
-        return "JobSpec({!r}, scale={}, seed={})".format(
-            self.experiment, self.scale, self.seed
         )
 
 

@@ -27,10 +27,10 @@ without bound.
 import threading
 import time
 
+from repro.experiments import JobSpec
 from repro.service.models import (
     JobConflictError,
     JobNotFoundError,
-    JobSpec,
     JobState,
     QueueFullError,
     StoreFailureError,

@@ -15,9 +15,19 @@ metric or arbiter-state mismatch — the batch analogue of the kernel's
 strict mode.
 """
 
-from repro.experiments.system import TestbedResult, run_testbed
+from repro.experiments.system import TestbedResult
 from repro.vector.engine import VectorEngine
 from repro.vector.lanes import UnsupportedConfigError, plan_lane
+
+
+def run_testbed(point):
+    """Run one point the vector engine cannot model on the scalar
+    simulator, exactly as :meth:`Point.run` does.
+
+    The one module-level call every scalar fallback makes, so a tracer
+    can time the fallbacks by this name.
+    """
+    return point.run()
 
 
 class BatchRun:
@@ -90,14 +100,7 @@ def run_testbed_batch(points, strict=True, block_size=32):
             result.backend = "vector"
             results[index] = result
     for index, _, _ in fallbacks:
-        point = points[index]
-        # Through this module's run_testbed, once per fallback point.
-        result = run_testbed(
-            point.arbiter, point.traffic, point.weights,
-            cycles=point.cycles, seed=point.seed,
-            max_burst=point.max_burst, num_masters=point.num_masters,
-            warmup=point.warmup, **dict(point.kwargs)
-        )
+        result = run_testbed(points[index])
         result.backend = "scalar"
         results[index] = result
     return BatchRun(results, fallbacks, len(groups), checked_labels)

@@ -10,8 +10,8 @@ from repro.experiments.cache import (
     CacheStats,
     ResultCache,
     cache_key,
-    experiment_key,
 )
+from repro.experiments.supervisor import JobSpec
 from repro.ioutil import canonical_json
 
 
@@ -47,16 +47,17 @@ def test_cache_key_rejects_non_json_config():
 
 
 def test_experiment_key_covers_options_and_schema():
-    base = experiment_key("faultsweep", scale=1.0, seed=1)
-    assert experiment_key("faultsweep", scale=1.0, seed=1) == base
+    base = JobSpec("faultsweep", scale=1.0, seed=1).key()
+    assert JobSpec("faultsweep", scale=1.0, seed=1).key() == base
     assert (
-        experiment_key("faultsweep", scale=1.0, seed=1,
-                       options={"fault_rates": [0.0, 0.1]})
+        JobSpec("faultsweep", scale=1.0, seed=1,
+                options={"fault_rates": [0.0, 0.1]}).key()
         != base
     )
+    config = {"scale": 1.0, "options": {}}
+    assert cache_key("faultsweep", config, 1) == base
     assert (
-        experiment_key("faultsweep", scale=1.0, seed=1,
-                       schema_version=SCHEMA_VERSION + 1)
+        cache_key("faultsweep", config, 1, schema_version=SCHEMA_VERSION + 1)
         != base
     )
 

@@ -12,10 +12,10 @@ import time
 
 import pytest
 
-from repro.experiments.cache import ResultCache, experiment_key
+from repro.experiments.cache import ResultCache
 from repro.experiments.supervisor import (
+    JobSpec,
     Supervisor,
-    TaskSpec,
     default_jobs,
     pool_map,
     run_campaign,
@@ -43,31 +43,35 @@ def _die(x):
     os._exit(9)
 
 
-def pid_task_runner(spec, resume):
-    return "pid={} name={}".format(os.getpid(), spec.name)
+def pid_task_runner(spec, checkpointer):
+    return "pid={} name={}".format(os.getpid(), spec.experiment)
 
 
-def crashy_task_runner(spec, resume):
-    if spec.name == "dies":
+def crashy_task_runner(spec, checkpointer):
+    if spec.experiment == "dies":
         os._exit(7)
-    return "survived " + spec.name
+    return "survived " + spec.experiment
 
 
-def erroring_task_runner(spec, resume):
-    if spec.name == "bad":
+def erroring_task_runner(spec, checkpointer):
+    if spec.experiment == "bad":
         raise ValueError("synthetic task error")
-    return "pid={} name={}".format(os.getpid(), spec.name)
+    return "pid={} name={}".format(os.getpid(), spec.experiment)
 
 
-def flaky_task_runner(spec, resume):
-    # Errors on the first attempt; the retry arrives with resume=True.
-    if not resume:
+def flaky_task_runner(spec, checkpointer):
+    # Errors on the first attempt; the retry resumes its checkpoints.
+    if not checkpointer.resume:
         raise ValueError("transient")
-    return "recovered " + spec.name
+    return "recovered " + spec.experiment
 
 
-def sleepy_task_runner(spec, resume):
+def sleepy_task_runner(spec, checkpointer):
     time.sleep(60)
+
+
+def _specs(*labels):
+    return {label: JobSpec(label) for label in labels}
 
 
 def _fast_supervisor(**kwargs):
@@ -134,8 +138,7 @@ def test_pool_map_worker_crash_raises():
 
 def test_workers_are_reused_across_tasks():
     supervisor = _fast_supervisor(jobs=1, task_runner=pid_task_runner)
-    specs = [TaskSpec("t{}".format(i)) for i in range(3)]
-    outcomes = supervisor.run(specs)
+    outcomes = supervisor.run(_specs("t0", "t1", "t2"))
     assert all(o.status == "done" for o in outcomes.values())
     pids = _pids(outcomes)
     assert len(pids) == 1  # one persistent worker served every task
@@ -147,9 +150,7 @@ def test_task_error_keeps_worker_warm():
     supervisor = _fast_supervisor(
         jobs=1, retries=0, task_runner=erroring_task_runner
     )
-    outcomes = supervisor.run(
-        [TaskSpec("ok1"), TaskSpec("bad"), TaskSpec("ok2")]
-    )
+    outcomes = supervisor.run(_specs("ok1", "bad", "ok2"))
     assert outcomes["bad"].status == "failed"
     assert "synthetic task error" in outcomes["bad"].error
     assert outcomes["ok1"].status == "done"
@@ -164,16 +165,19 @@ def test_worker_crash_is_contained_and_replaced():
     supervisor = _fast_supervisor(
         jobs=1, retries=0, task_runner=crashy_task_runner
     )
-    outcomes = supervisor.run([TaskSpec("dies"), TaskSpec("lives")])
+    outcomes = supervisor.run(_specs("dies", "lives"))
     assert outcomes["dies"].status == "failed"
     assert "crashed" in outcomes["dies"].error
     assert outcomes["lives"].status == "done"
     assert supervisor.workers_spawned == 2  # crash cost one respawn
 
 
-def test_pool_retry_resumes_and_recovers():
+def test_pool_retry_resumes_and_recovers(tmp_path):
     supervisor = _fast_supervisor(retries=1, task_runner=flaky_task_runner)
-    outcomes = supervisor.run([TaskSpec("flaky")])
+    outcomes = supervisor.run(
+        _specs("flaky"),
+        checkpoints={"flaky": (str(tmp_path / "flaky"), None)},
+    )
     assert outcomes["flaky"].status == "done"
     assert outcomes["flaky"].attempts == 2
     assert outcomes["flaky"].report == "recovered flaky"
@@ -184,7 +188,7 @@ def test_pool_timeout_kills_hung_worker():
         jobs=1, timeout=0.3, retries=0, task_runner=sleepy_task_runner
     )
     start = time.monotonic()
-    outcomes = supervisor.run([TaskSpec("hangs")])
+    outcomes = supervisor.run(_specs("hangs"))
     assert time.monotonic() - start < 10
     assert outcomes["hangs"].status == "failed"
     assert "timed out" in outcomes["hangs"].error
@@ -238,9 +242,7 @@ def test_campaign_survives_corrupted_cache_entries(tmp_path):
     cold = _run(tmp_path, "cold", jobs=1, cache_dir=cache_dir)
     cache = ResultCache(cache_dir)
     for name in CAMPAIGN_NAMES:
-        path = cache.entry_path(
-            experiment_key(name, scale=0.05, seed=1)
-        )
+        path = cache.entry_path(JobSpec(name, scale=0.05).key())
         with open(path, "w") as handle:
             handle.write("garbage, not an envelope")
     rerun = _run(tmp_path, "rerun", jobs=1, cache_dir=cache_dir)

@@ -18,7 +18,7 @@ import pytest
 from repro.chaos.injector import ChaosInjector, install_worker_chaos
 from repro.chaos.plan import ChaosPlan
 from repro.experiments.errors import CampaignDrained
-from repro.experiments.supervisor import ResultStore, Supervisor, TaskSpec
+from repro.experiments.supervisor import JobSpec, ResultStore, Supervisor
 from repro.ioutil import set_write_fault_hook
 
 
@@ -30,44 +30,49 @@ def _no_leftover_hook():
 
 # Task runners must be module-level so spawned workers can unpickle them.
 
-def echo_task_runner(spec, resume):
-    return "report:" + spec.name
+def echo_task_runner(spec, checkpointer):
+    return "report:" + spec.experiment
 
 
-def pid_task_runner(spec, resume):
-    if spec.name.startswith("poison"):
+def pid_task_runner(spec, checkpointer):
+    if spec.experiment.startswith("poison"):
         os._exit(9)
     return "pid:{}".format(os.getpid())
 
 
-def poison_task_runner(spec, resume):
-    if spec.name == "poison":
+def poison_task_runner(spec, checkpointer):
+    if spec.experiment == "poison":
         os._exit(9)
-    return "ok:" + spec.name
+    return "ok:" + spec.experiment
 
 
-def crash_then_hang_runner(spec, resume):
+def crash_then_hang_runner(spec, checkpointer):
     # The first attempt crashes its pool worker (opening a one-crash
-    # breaker); every retry records its pid and hangs.
-    if not resume:
+    # breaker); every retry resumes its checkpoints, records its pid
+    # and hangs.
+    if not checkpointer.resume:
         os._exit(9)
     with open(spec.options["pid_file"], "a") as handle:
         handle.write("{}\n".format(os.getpid()))
     time.sleep(60)
 
 
-def self_stopping_runner(spec, resume):
+def self_stopping_runner(spec, checkpointer):
     # First attempt wedges its own worker (alive, never finishing);
     # only heartbeat liveness can notice.  The retry succeeds.
-    if spec.name == "wedge" and not resume:
+    if spec.experiment == "wedge" and not checkpointer.resume:
         os.kill(os.getpid(), signal.SIGSTOP)
-    return "ok:" + spec.name
+    return "ok:" + spec.experiment
 
 
 def _fast_supervisor(**kwargs):
     kwargs.setdefault("poll_interval", 0.01)
     kwargs.setdefault("backoff", 0.01)
     return Supervisor(**kwargs)
+
+
+def _specs(*labels, **spec_kwargs):
+    return {label: JobSpec(label, **spec_kwargs) for label in labels}
 
 
 # -- ChaosPlan ------------------------------------------------------------
@@ -230,8 +235,7 @@ def test_campaign_converges_under_dispatch_kills():
         task_runner=echo_task_runner, chaos=injector,
         heartbeat_interval=0.05, heartbeat_timeout=5.0,
     )
-    specs = [TaskSpec("t{}".format(i)) for i in range(6)]
-    outcomes = supervisor.run(specs)
+    outcomes = supervisor.run(_specs(*("t{}".format(i) for i in range(6))))
     assert all(o.status == "done" for o in outcomes.values())
     assert {o.report for o in outcomes.values()} == {
         "report:t{}".format(i) for i in range(6)
@@ -249,7 +253,7 @@ def test_poison_task_is_quarantined_with_bounded_respawns():
         task_runner=poison_task_runner,
     )
     outcomes = supervisor.run(
-        [TaskSpec("poison"), TaskSpec("clean")], on_event=events.append
+        _specs("poison", "clean"), on_event=events.append
     )
     poison = outcomes["poison"]
     assert poison.status == "failed"
@@ -267,9 +271,7 @@ def test_success_resets_quarantine_counter():
         jobs=1, retries=5, quarantine_after=3, circuit_breaker=None,
         task_runner=poison_task_runner,
     )
-    outcomes = supervisor.run(
-        [TaskSpec("clean-1"), TaskSpec("poison"), TaskSpec("clean-2")]
-    )
+    outcomes = supervisor.run(_specs("clean-1", "poison", "clean-2"))
     assert outcomes["clean-1"].status == "done"
     assert outcomes["clean-2"].status == "done"
     assert outcomes["poison"].error_kind == "quarantined"
@@ -287,10 +289,7 @@ def test_circuit_breaker_degrades_to_in_process_serial():
         jobs=1, retries=2, quarantine_after=None, circuit_breaker=3,
         task_runner=pid_task_runner,
     )
-    specs = [
-        TaskSpec("poison-1"), TaskSpec("poison-2"),
-        TaskSpec("poison-3"), TaskSpec("clean"),
-    ]
+    specs = _specs("poison-1", "poison-2", "poison-3", "clean")
     outcomes = supervisor.run(specs, on_event=events.append)
     assert supervisor.breaker_opened
     assert any("circuit breaker open" in event for event in events)
@@ -316,8 +315,9 @@ def test_degraded_contained_task_times_out_and_worker_is_killed(tmp_path):
     )
     start = time.monotonic()
     outcomes = supervisor.run(
-        [TaskSpec("hang", options={"pid_file": str(pid_file)})],
+        _specs("hang", options={"pid_file": str(pid_file)}),
         on_event=events.append,
+        checkpoints={"hang": (str(tmp_path / "hang"), None)},
     )
     assert time.monotonic() - start < 20
     assert supervisor.breaker_opened
@@ -338,13 +338,16 @@ def test_degraded_contained_task_times_out_and_worker_is_killed(tmp_path):
 # -- Supervisor: heartbeat liveness ---------------------------------------
 
 
-def test_heartbeat_detects_wedged_worker_and_retries():
+def test_heartbeat_detects_wedged_worker_and_retries(tmp_path):
     events = []
     supervisor = _fast_supervisor(
         jobs=1, retries=2, task_runner=self_stopping_runner,
         heartbeat_interval=0.05, heartbeat_timeout=0.5,
     )
-    outcomes = supervisor.run([TaskSpec("wedge")], on_event=events.append)
+    outcomes = supervisor.run(
+        _specs("wedge"), on_event=events.append,
+        checkpoints={"wedge": (str(tmp_path / "wedge"), None)},
+    )
     assert outcomes["wedge"].status == "done"
     assert outcomes["wedge"].attempts == 2
     assert any("wedged" in event for event in events)
@@ -360,7 +363,7 @@ def test_request_drain_defers_pending_tasks():
         if event == "task a: done":
             supervisor.request_drain()
 
-    specs = [TaskSpec("a"), TaskSpec("b"), TaskSpec("c")]
+    specs = _specs("a", "b", "c")
     with pytest.raises(CampaignDrained) as excinfo:
         supervisor.run(specs, on_event=watch)
     drained = excinfo.value
@@ -376,9 +379,7 @@ def test_drain_with_nothing_pending_returns_normally():
         if event == "task b: done":
             supervisor.request_drain()
 
-    outcomes = supervisor.run(
-        [TaskSpec("a"), TaskSpec("b")], on_event=watch
-    )
+    outcomes = supervisor.run(_specs("a", "b"), on_event=watch)
     assert set(outcomes) == {"a", "b"}
 
 

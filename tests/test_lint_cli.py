@@ -175,10 +175,14 @@ def test_stale_baseline_entries_are_reported(tmp_path):
     assert "stale baseline entry" in result.stdout
 
 
-def test_no_baseline_flag_reports_accepted_findings():
-    result = run_lint("--no-baseline", "src/")
+def test_no_baseline_flag_reports_accepted_findings(tmp_path):
+    bad = os.path.join(FIXTURES, "lb104_bad.py")
+    baseline = str(tmp_path / "baseline.json")
+    assert run_lint("--write-baseline", baseline, bad).returncode == 0
+    assert run_lint("--baseline", baseline, bad).returncode == 0
+    result = run_lint("--baseline", baseline, "--no-baseline", bad)
     assert result.returncode == 1
-    assert "run_task_spec" in result.stdout
+    assert "LB104" in result.stdout
 
 
 def test_committed_baseline_justifications_are_non_empty():

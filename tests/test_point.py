@@ -107,16 +107,11 @@ SAMPLE_EXTRAS = {
 
 @pytest.mark.parametrize("name", available_arbiters())
 def test_points_reject_exactly_the_extras_the_registry_rejects(name):
-    for extra in _EXTRAS[name] or ():
+    for extra in _EXTRAS[name]:
         extras = {extra: SAMPLE_EXTRAS[extra]}
         make_arbiter(name, 4, list(WEIGHTS), **extras)
         Point(name, "T8", WEIGHTS, kwargs=extras).build()
-    if _EXTRAS[name] is None:
-        # Weight-only factories ignore extras; so does the point.
-        make_arbiter(name, 4, list(WEIGHTS), bogus=1)
-        Point(name, "T8", WEIGHTS, kwargs={"bogus": 1}).build()
-        return
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         make_arbiter(name, 4, list(WEIGHTS), bogus=1)
     with pytest.raises(ValueError):
         Point(name, "T8", WEIGHTS, kwargs={"bogus": 1})

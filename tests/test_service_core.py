@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.experiments.cache import experiment_key
+from repro.experiments import JobSpec
 from repro.service.core import ServiceCore
 from repro.service.models import JobState, RateLimitedError
 from repro.service.ratelimit import RateLimiter
@@ -88,7 +88,7 @@ def test_queue_full_gives_429_with_retry_after_header(tmp_path):
 
 def test_warm_cache_admits_job_already_done(tmp_path):
     core = make_core(tmp_path, cache=True)
-    key = experiment_key("figure5", scale=SCALE, seed=7, options={})
+    key = JobSpec("figure5", scale=SCALE, seed=7).key()
     core.cache.put(key, {"name": "figure5", "report": "warm report"})
     status, body, _ = core.submit(payload(seed=7))
     assert status == 200

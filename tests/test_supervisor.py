@@ -7,9 +7,9 @@ import time
 import pytest
 
 from repro.experiments.supervisor import (
+    JobSpec,
     ResultStore,
     Supervisor,
-    TaskSpec,
     run_campaign,
 )
 
@@ -17,27 +17,31 @@ from repro.experiments.supervisor import (
 # Task runners must be module-level so every multiprocessing start
 # method can reach them.
 
-def ok_runner(spec, resume):
-    return "report for " + spec.name
+def ok_runner(spec, checkpointer):
+    return "report for " + spec.experiment
 
 
-def crash_runner(spec, resume):
+def crash_runner(spec, checkpointer):
     os._exit(3)
 
 
-def hang_runner(spec, resume):
+def hang_runner(spec, checkpointer):
     time.sleep(60)
 
 
-def error_runner(spec, resume):
+def error_runner(spec, checkpointer):
     raise ValueError("synthetic failure")
 
 
-def flaky_runner(spec, resume):
-    # Crashes on the first attempt; the retry arrives with resume=True.
-    if not resume:
+def flaky_runner(spec, checkpointer):
+    # Crashes on the first attempt; the retry resumes its checkpoints.
+    if not checkpointer.resume:
         os._exit(1)
-    return "recovered " + spec.name
+    return "recovered " + spec.experiment
+
+
+def _specs(*labels):
+    return {label: JobSpec(label) for label in labels}
 
 
 def _fast_supervisor(**kwargs):
@@ -78,16 +82,16 @@ def test_store_missing_file_is_empty(tmp_path):
 def test_tasks_complete_and_land_in_store(tmp_path):
     store = ResultStore(str(tmp_path / "r.jsonl"))
     supervisor = _fast_supervisor(jobs=3, task_runner=ok_runner)
-    specs = [TaskSpec("t{}".format(i)) for i in range(5)]
+    specs = _specs(*("t{}".format(i) for i in range(5)))
     outcomes = supervisor.run(specs, store=store)
     assert len(outcomes) == 5
     assert all(o.status == "done" for o in outcomes.values())
-    assert set(store.load()) == {spec.name for spec in specs}
+    assert set(store.load()) == set(specs)
 
 
 def test_worker_crash_fails_task_not_campaign(tmp_path):
     supervisor = _fast_supervisor(jobs=2, retries=0, task_runner=crash_runner)
-    outcomes = supervisor.run([TaskSpec("dies"), TaskSpec("dies2")])
+    outcomes = supervisor.run(_specs("dies", "dies2"))
     assert outcomes["dies"].status == "failed"
     assert "crashed" in outcomes["dies"].error
     assert outcomes["dies2"].status == "failed"
@@ -95,7 +99,7 @@ def test_worker_crash_fails_task_not_campaign(tmp_path):
 
 def test_worker_error_message_is_captured():
     supervisor = _fast_supervisor(retries=0, task_runner=error_runner)
-    outcomes = supervisor.run([TaskSpec("t")])
+    outcomes = supervisor.run(_specs("t"))
     assert outcomes["t"].status == "failed"
     assert "synthetic failure" in outcomes["t"].error
 
@@ -105,16 +109,19 @@ def test_timeout_kills_hanging_worker():
         timeout=0.3, retries=0, task_runner=hang_runner
     )
     start = time.monotonic()
-    outcomes = supervisor.run([TaskSpec("hangs")])
+    outcomes = supervisor.run(_specs("hangs"))
     assert time.monotonic() - start < 10
     assert outcomes["hangs"].status == "failed"
     assert "timed out" in outcomes["hangs"].error
 
 
-def test_retry_recovers_with_resume_flag():
+def test_retry_recovers_with_resume_flag(tmp_path):
     events = []
     supervisor = _fast_supervisor(retries=1, task_runner=flaky_runner)
-    outcomes = supervisor.run([TaskSpec("flaky")], on_event=events.append)
+    outcomes = supervisor.run(
+        _specs("flaky"), on_event=events.append,
+        checkpoints={"flaky": (str(tmp_path / "flaky"), None)},
+    )
     assert outcomes["flaky"].status == "done"
     assert outcomes["flaky"].attempts == 2
     assert outcomes["flaky"].report == "recovered flaky"
@@ -125,7 +132,7 @@ def test_retries_are_bounded():
     supervisor = _fast_supervisor(
         retries=2, quarantine_after=None, task_runner=crash_runner
     )
-    outcomes = supervisor.run([TaskSpec("dies")])
+    outcomes = supervisor.run(_specs("dies"))
     assert outcomes["dies"].status == "failed"
     assert outcomes["dies"].attempts == 3
 

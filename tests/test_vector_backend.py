@@ -111,3 +111,16 @@ def test_quick_batch_benchmark_is_identical():
     assert results["mismatched_lanes"] == []
     assert results["platform"]["machine"]
     assert results["vector"]["lookup_table_cache"]["builds"] >= 1
+
+
+def test_scalar_fallback_keeps_the_compensated_quantum_apart_from_the_bus():
+    # T6 is a traffic class the vector engine cannot model, so this point
+    # falls back to the scalar simulator; its quantum (4) is not the
+    # bus's max_burst (16), so the fallback must run the point as given.
+    from repro.vector import run_testbed_batch
+
+    point = Point("lottery-compensated", "T6", (1, 2, 3, 4), cycles=200,
+                  kwargs={"max_burst": 4})
+    batch = run_testbed_batch([point])
+    assert batch.scalar_points == 1
+    assert batch.results[0].summary == point.run().summary
