@@ -9,8 +9,9 @@ container iteration.  This rule bans, inside the deterministic
 packages:
 
 * the module-level :mod:`random` API (``random.random()`` …) — ambient,
-  process-global state (seeded ``random.Random(...)`` instances are
-  fine and are exactly what ``RandomStream`` wraps);
+  process-global state (seeded generator instances are fine: a
+  ``random.Random(seed)``, or the C engine ``_random.Random(seed)``
+  that ``RandomStream`` holds, which draws the same sequence);
 * wall-clock reads: ``time.time``, ``time.perf_counter``,
   ``time.monotonic`` and friends;
 * OS entropy: ``os.urandom``, ``uuid.uuid1``/``uuid4``, the

@@ -6,8 +6,9 @@ simulation seed plus a purpose string, so adding a new consumer of
 randomness never perturbs existing ones.
 """
 
-import random
+import _random
 import zlib
+from operator import index as _index
 
 
 def derive_seed(root_seed, purpose):
@@ -70,31 +71,70 @@ def child_seed(root_seed, *path):
     return output
 
 
+#: ``random.Random.VERSION``, the first item of its ``getstate()`` tuple.
+_STATE_VERSION = 3
+
+
 class RandomStream:
-    """An independently seeded wrapper around :class:`random.Random`."""
+    """An independently seeded Mersenne Twister stream.
+
+    The generator is CPython's C engine, ``_random.Random``, held
+    directly: the draws and ``state_dict()["random"]`` are exactly those
+    of ``random.Random(seed)``, without that Python subclass's instance
+    ``__dict__`` slowing every method lookup.  ``seed`` must be an int
+    (the engine would seed anything else through ``hash()``, salted per
+    process for strings).  A stream pickles and deep-copies by value.
+    """
 
     def __init__(self, seed, purpose=""):
+        if not isinstance(seed, int):
+            raise TypeError(
+                "RandomStream seed must be an int, got {!r}".format(seed)
+            )
         self.seed = derive_seed(seed, purpose) if purpose else seed
         self.purpose = purpose
-        self._rng = random.Random(self.seed)
+        self._rng = _random.Random(self.seed)
 
     def reset(self):
         """Rewind the stream to its initial state."""
-        self._rng = random.Random(self.seed)
+        self._rng = _random.Random(self.seed)
 
     def state_dict(self):
-        """Snapshot the stream (identity plus generator position)."""
+        """Snapshot the stream (identity plus generator position).
+
+        ``"random"`` is a ``random.Random.getstate()`` tuple:
+        ``(3, internal_state, None)``.
+        """
         return {
             "seed": self.seed,
             "purpose": self.purpose,
-            "random": self._rng.getstate(),
+            "random": (_STATE_VERSION, self._rng.getstate(), None),
         }
 
     def load_state_dict(self, state):
-        """Restore a snapshot, resuming the stream mid-sequence."""
+        """Restore a snapshot, resuming the stream mid-sequence.
+
+        ``state["random"]`` may be any version-3 ``random.Random``
+        state; its Gaussian cache is unused, since a stream draws no
+        ``gauss``.  Other versions raise ``ValueError``.
+        """
+        version, internal, _ = state["random"]
+        if version != _STATE_VERSION:
+            raise ValueError(
+                "state with version {!r} passed to RandomStream of version "
+                "{}".format(version, _STATE_VERSION)
+            )
+        self._rng.setstate(internal)
         self.seed = state["seed"]
         self.purpose = state["purpose"]
-        self._rng.setstate(state["random"])
+
+    def __getstate__(self):
+        # The C engine itself neither pickles nor deep-copies.
+        return self.state_dict()
+
+    def __setstate__(self, state):
+        self._rng = _random.Random(state["seed"])
+        self.load_state_dict(state)
 
     def randint(self, low, high):
         """Uniform integer in ``[low, high]`` inclusive (ints only).
@@ -119,20 +159,26 @@ class RandomStream:
         return low + r
 
     def randrange(self, upper):
-        """Uniform integer in ``[0, upper)``."""
-        return self._rng.randrange(upper)
+        """Uniform integer in ``[0, upper)``.
+
+        Draws exactly what ``random.Random.randrange(upper)`` draws, by
+        the same inline rejection loop as :meth:`randint`.  A non-integer
+        ``upper`` raises ``TypeError`` and an empty range ``ValueError``,
+        both before any draw.
+        """
+        upper = _index(upper)
+        if upper <= 0:
+            raise ValueError("empty range for randrange({})".format(upper))
+        rng = self._rng
+        k = upper.bit_length()
+        r = rng.getrandbits(k)
+        while r >= upper:
+            r = rng.getrandbits(k)
+        return r
 
     def random(self):
         """Uniform float in ``[0, 1)``."""
         return self._rng.random()
-
-    def choice(self, seq):
-        """Uniformly choose one element of ``seq``."""
-        return self._rng.choice(seq)
-
-    def expovariate(self, rate):
-        """Exponential variate with the given rate (1 / mean)."""
-        return self._rng.expovariate(rate)
 
     def geometric(self, p):
         """Geometric variate: number of Bernoulli(p) trials to first success.
@@ -150,9 +196,10 @@ class RandomStream:
         Draws exactly one uniform per trial, the success included, so
         the stream ends where a per-trial ``random() < p`` loop would
         and ``p == 1.0`` still draws once.  ``p`` must lie in (0, 1].
-        The loop is unrolled by four and calls ``random`` on a local
-        (binding ``rng.random`` once would cost more than it saves on
-        the short runs :meth:`geometric` makes).
+        The loop is unrolled by four and calls ``rng.random()`` as a
+        method: on the C engine that lookup costs less than calling a
+        bound ``rng.random`` held in a local (measured on CPython 3.11,
+        x86-64: about 26 ns per trial against 34-39 ns).
         """
         if not 0.0 < p <= 1.0:
             raise ValueError("p must be in (0, 1], got {}".format(p))

@@ -175,23 +175,26 @@ class PoissonGenerator(TrafficGenerator):
         """Expected words per cycle this source injects."""
         return self.rate * self.words.mean()
 
-    def _arrival_cycle(self, cycle):
-        # Pre-draw the arrival by running the identical per-cycle
-        # Bernoulli trials dense ticking would: one draw per simulated
-        # cycle, failure after failure until the hit.  The RNG stream
-        # therefore stays bit-identical to cycle-by-cycle evaluation and
-        # checkpoints agree regardless of simulator mode.
-        if self._next_arrival is None:
-            self._next_arrival = cycle + self._rng.failures(self.rate)
-        return self._next_arrival
+    # Both methods pre-draw the arrival inline, sparing a call on every
+    # tick and horizon probe, by running the identical per-cycle
+    # Bernoulli trials dense ticking would: one draw per simulated
+    # cycle, failure after failure until the hit.  The RNG stream
+    # therefore stays bit-identical to cycle-by-cycle evaluation and
+    # checkpoints agree regardless of simulator mode.
 
     def tick(self, cycle):
-        if self._arrival_cycle(cycle) <= cycle:
+        arrival = self._next_arrival
+        if arrival is None:
+            arrival = self._next_arrival = cycle + self._rng.failures(self.rate)
+        if arrival <= cycle:
             self._emit(self.words.sample(self._rng), cycle)
             self._next_arrival = None
 
     def next_activity(self, cycle):
-        return self._arrival_cycle(cycle)
+        arrival = self._next_arrival
+        if arrival is None:
+            arrival = self._next_arrival = cycle + self._rng.failures(self.rate)
+        return arrival
 
 
 class PeriodicGenerator(TrafficGenerator):

@@ -5,13 +5,25 @@ import os
 import random
 import zlib
 
+import _random
+
 
 class SeededStream:
-    """random.Random wrapped behind an explicit seed is the blessed path
-    (this is literally what repro.sim.rng.RandomStream does)."""
+    """random.Random wrapped behind an explicit seed is the blessed path."""
 
     def __init__(self, seed):
         self._rng = random.Random(seed)
+
+    def draw(self):
+        return self._rng.random()
+
+
+class SeededEngine:
+    """So is the C engine behind it, seeded explicitly (this is what
+    repro.sim.rng.RandomStream holds)."""
+
+    def __init__(self, seed):
+        self._rng = _random.Random(seed)
 
     def draw(self):
         return self._rng.random()

@@ -88,6 +88,54 @@ def test_kernel_leg_fast_equals_dense_on_short_runs(monkeypatch):
     assert report["draws"][-1]["trials_per_second"] > 0
 
 
+def test_best_of_each_reverses_the_order_every_other_repeat():
+    calls = []
+    best, walls = bench._best_of_each(
+        [lambda: calls.append("a"), lambda: calls.append("b")], 4
+    )
+    assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert [len(fn_walls) for fn_walls in walls] == [4, 4]
+    assert [entry[0] for entry in best] == [min(w) for w in walls]
+
+
+def test_pair_wins_count_repeats_no_slower_than_the_other_side():
+    assert bench._pair_wins([1.0, 2.0, 3.0], [1.0, 1.5, 4.0]) == 2
+    assert bench._pair_wins([2.0, 2.0], [1.0, 1.0]) == 0
+
+
+def _sleeping_scenario(name, dense_s, fast_s):
+    """A kernel scenario whose modes agree but take the given walls."""
+    def runner(mode, cycles):
+        time.sleep(fast_s if mode == "fast" else dense_s)
+        return "same summary", 0
+
+    return (name, runner, 1, 10, 10, "sleeps")
+
+
+def test_a_slower_fast_mode_fails_the_not_slower_gate(monkeypatch):
+    # figure8's fast mode is genuinely 10x slower in every pair; the
+    # saturated scenario's is 10x faster.
+    monkeypatch.setattr(bench, "SCENARIOS", (
+        _sleeping_scenario("figure8_lottery", dense_s=0.002, fast_s=0.02),
+        _sleeping_scenario("table1_saturated", dense_s=0.02, fast_s=0.002),
+    ))
+    monkeypatch.setattr(bench, "_draws_section", lambda quick, repeats: [])
+    sections, gates = bench.kernel_leg(quick=False, repeats=3)
+    assert gates == {
+        "figure8_lottery_fast_equals_dense": True,
+        "figure8_lottery_fast_not_slower": False,
+        "table1_saturated_fast_equals_dense": True,
+        "table1_saturated_fast_not_slower": True,
+    }
+    assert [(entry["name"], entry["fast_pair_wins"])
+            for entry in sections["scenarios"]] == [
+        ("figure8_lottery", 0), ("table1_saturated", 3),
+    ]
+    # Quick runs record the pair wins without gating on them.
+    _, quick_gates = bench.kernel_leg(quick=True, repeats=3)
+    assert "figure8_lottery_fast_not_slower" not in quick_gates
+
+
 def test_lint_leg_missing_the_warm_target_fails_only_that_gate(
         monkeypatch, tmp_path, capsys):
     # Every run costs the same, so the warm run cannot be 5x faster.

@@ -1,6 +1,8 @@
 """Tests for seeded random streams."""
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -160,6 +162,149 @@ def test_randint_empty_range_raises_without_drawing():
     before = stream.state_dict()
     with pytest.raises(ValueError):
         stream.randint(5, 4)
+    assert stream.state_dict() == before
+
+
+#: Seeds the engine sees unchanged (no purpose): 0, negatives (seeded
+#: by absolute value, as random.Random seeds them) and ints wider than
+#: one 32-bit key word.
+ENGINE_SEEDS = st.integers(min_value=-(2**70), max_value=2**70)
+#: One stream operation and its arguments.  ``failures`` rates stay at
+#: or above 1e-3 so a run of them stays short.
+OPERATIONS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("randint"),
+              st.integers(min_value=-(2**40), max_value=2**40), WIDTHS),
+    st.tuples(st.just("randrange"), WIDTHS),
+    st.tuples(st.just("failures"),
+              st.one_of(st.just(1.0), st.floats(min_value=1e-3,
+                                                max_value=1.0))),
+    st.tuples(st.just("geometric"),
+              st.one_of(st.just(1.0), st.floats(min_value=1e-3,
+                                                max_value=1.0))),
+)
+
+
+def _stream_step(stream, operation):
+    name, *args = operation
+    if name == "randint":
+        low, width = args
+        return stream.randint(low, low + width - 1)
+    return getattr(stream, name)(*args)
+
+
+def _reference_step(rng, operation):
+    """What ``random.Random`` draws for one stream operation."""
+    name, *args = operation
+    if name == "random":
+        return rng.random()
+    if name == "randint":
+        low, width = args
+        return rng.randint(low, low + width - 1)
+    if name == "randrange":
+        return rng.randrange(args[0])
+    if name == "failures":
+        return _reference_failures(rng, args[0])
+    if args[0] == 1.0:  # geometric(1.0) is 1 and draws nothing
+        return 1
+    return _reference_failures(rng, args[0]) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=ENGINE_SEEDS, operations=st.lists(OPERATIONS, max_size=12))
+@example(seed=0, operations=[("random",), ("randrange", 1),
+                             ("failures", 1.0), ("geometric", 0.5)])
+@example(seed=-1, operations=[("randint", -3, 7), ("randrange", 2**33),
+                              ("geometric", 1.0), ("random",)])
+def test_interleaved_draws_match_random_random_draw_for_draw(seed,
+                                                             operations):
+    stream = RandomStream(seed)
+    reference = random.Random(seed)
+    assert stream.state_dict()["random"] == reference.getstate()
+    for operation in operations:
+        assert _stream_step(stream, operation) == _reference_step(
+            reference, operation
+        ), operation
+        assert stream.state_dict()["random"] == reference.getstate()
+
+
+def test_state_dict_random_is_a_version_3_getstate_tuple():
+    version, internal, gauss_next = RandomStream(5).state_dict()["random"]
+    assert (version, gauss_next) == (3, None)
+    assert isinstance(internal, tuple) and len(internal) == 625
+
+
+def test_load_state_dict_accepts_a_random_getstate_tuple():
+    reference = random.Random(99)
+    for _ in range(7):
+        reference.random()
+    stream = RandomStream(1, "x")
+    stream.load_state_dict(
+        {"seed": 99, "purpose": "", "random": reference.getstate()}
+    )
+    assert (stream.seed, stream.purpose) == (99, "")
+    assert [stream.random() for _ in range(5)] == [
+        reference.random() for _ in range(5)
+    ]
+    assert stream.state_dict()["random"] == reference.getstate()
+
+
+@pytest.mark.parametrize("version", [1, 2, 4, None])
+def test_load_state_dict_rejects_other_versions_unchanged(version):
+    stream = RandomStream(5, "x")
+    stream.random()
+    before = stream.state_dict()
+    _, internal, gauss_next = random.Random(6).getstate()
+    with pytest.raises(ValueError):
+        stream.load_state_dict(
+            {"seed": 6, "purpose": "y", "random": (version, internal,
+                                                   gauss_next)}
+        )
+    assert stream.state_dict() == before
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [pytest.param(lambda stream, protocol=protocol: pickle.loads(
+        pickle.dumps(stream, protocol=protocol)),
+        id="pickle{}".format(protocol))
+     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    + [pytest.param(copy.deepcopy, id="deepcopy"),
+       pytest.param(copy.copy, id="copy")],
+)
+def test_mid_stream_copy_continues_the_same_sequence(clone):
+    stream = RandomStream(11, "x")
+    for _ in range(3):
+        stream.failures(0.1)
+    copied = clone(stream)
+    assert copied.state_dict() == stream.state_dict()
+    assert [copied.randint(0, 99) for _ in range(20)] == [
+        stream.randint(0, 99) for _ in range(20)
+    ]
+    # By value: drawing from one leaves the other where it was.
+    copied.random()
+    assert copied.state_dict() != stream.state_dict()
+    copied.reset()
+    stream.reset()
+    assert copied.state_dict() == stream.state_dict()
+
+
+@pytest.mark.parametrize("seed", ["7", 7.0, 7.5, None, b"7"])
+def test_non_int_seed_raises_type_error(seed):
+    with pytest.raises(TypeError):
+        RandomStream(seed)
+    with pytest.raises(TypeError):
+        RandomStream(seed, "x")
+
+
+def test_randrange_rejects_empty_and_non_int_ranges_without_drawing():
+    stream = RandomStream(5)
+    before = stream.state_dict()
+    for upper in (0, -3):
+        with pytest.raises(ValueError):
+            stream.randrange(upper)
+    with pytest.raises(TypeError):
+        stream.randrange(5.0)
     assert stream.state_dict() == before
 
 
