@@ -21,79 +21,35 @@ Quickstart::
     print(bus.metrics.bandwidth_shares())   # ~[0.1, 0.2, 0.3, 0.4]
 """
 
-from repro.arbiters import (
-    Arbiter,
-    DynamicLotteryArbiter,
-    RoundRobinArbiter,
-    StaticLotteryArbiter,
-    StaticPriorityArbiter,
-    TdmaArbiter,
-    TokenRingArbiter,
-    available_arbiters,
-    make_arbiter,
-)
-from repro.bus import (
-    Bridge,
-    BusSystem,
-    Grant,
-    MasterInterface,
-    Request,
-    SharedBus,
-    Slave,
-    build_single_bus_system,
-)
-from repro.core import (
-    LFSR,
-    DynamicLotteryManager,
-    StaticLotteryManager,
-    TicketAssignment,
-    access_probability,
-    scale_to_power_of_two,
-)
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
-from repro.metrics import MetricsCollector
-from repro.sim import (
-    CheckpointError,
-    Component,
-    RandomStream,
-    Simulator,
-    Snapshottable,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Arbiter",
-    "DynamicLotteryArbiter",
-    "RoundRobinArbiter",
-    "StaticLotteryArbiter",
-    "StaticPriorityArbiter",
-    "TdmaArbiter",
-    "TokenRingArbiter",
-    "available_arbiters",
-    "make_arbiter",
-    "Bridge",
-    "BusSystem",
-    "Grant",
-    "MasterInterface",
-    "Request",
-    "SharedBus",
-    "Slave",
-    "build_single_bus_system",
-    "FaultInjector",
-    "FaultPlan",
-    "RetryPolicy",
-    "LFSR",
-    "DynamicLotteryManager",
-    "StaticLotteryManager",
-    "TicketAssignment",
-    "access_probability",
-    "scale_to_power_of_two",
-    "MetricsCollector",
-    "CheckpointError",
-    "Component",
-    "RandomStream",
-    "Simulator",
-    "Snapshottable",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".arbiters.base": ("Arbiter",),
+    ".arbiters.lottery": ("DynamicLotteryArbiter", "StaticLotteryArbiter"),
+    ".arbiters.registry": ("available_arbiters", "make_arbiter"),
+    ".arbiters.round_robin": ("RoundRobinArbiter",),
+    ".arbiters.static_priority": ("StaticPriorityArbiter",),
+    ".arbiters.tdma": ("TdmaArbiter",),
+    ".arbiters.token_ring": ("TokenRingArbiter",),
+    ".bus.bridge": ("Bridge",),
+    ".bus.bus": ("SharedBus",),
+    ".bus.master": ("MasterInterface",),
+    ".bus.slave": ("Slave",),
+    ".bus.topology": ("BusSystem", "build_single_bus_system"),
+    ".bus.transaction": ("Grant", "Request"),
+    ".core.lfsr": ("LFSR",),
+    ".core.lottery_manager": ("DynamicLotteryManager", "StaticLotteryManager"),
+    ".core.scaling": ("scale_to_power_of_two",),
+    ".core.starvation": ("access_probability",),
+    ".core.tickets": ("TicketAssignment",),
+    ".faults.injector": ("FaultInjector",),
+    ".faults.plan": ("FaultPlan", "RetryPolicy"),
+    ".metrics.collector": ("MetricsCollector",),
+    ".sim.component": ("Component",),
+    ".sim.kernel": ("Simulator",),
+    ".sim.rng": ("RandomStream",),
+    ".sim.snapshot": ("CheckpointError", "Snapshottable"),
+})
+__all__.append("__version__")

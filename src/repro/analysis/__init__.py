@@ -23,31 +23,20 @@ findings live in a tracked baseline file with a justification per entry
 (see :mod:`repro.analysis.baseline`).
 """
 
-from repro.analysis.core import (
-    ALL_RULE_IDS,
-    Finding,
-    LintError,
-    Rule,
-    SourceFile,
-    get_rules,
-    lint_file,
-    lint_paths,
-    lint_source,
-    register,
-)
-from repro.analysis.baseline import Baseline, BaselineError
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULE_IDS",
-    "Baseline",
-    "BaselineError",
-    "Finding",
-    "LintError",
-    "Rule",
-    "SourceFile",
-    "get_rules",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "register",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core": (
+        "ALL_RULE_IDS",
+        "Finding",
+        "LintError",
+        "Rule",
+        "SourceFile",
+        "get_rules",
+        "lint_file",
+        "lint_paths",
+        "lint_source",
+        "register",
+    ),
+    ".baseline": ("Baseline", "BaselineError"),
+})

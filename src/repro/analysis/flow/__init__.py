@@ -18,21 +18,15 @@ Entry point: :func:`build_project` returns a :class:`Project` the
 ``project = True`` rules (LB201-LB204) consume.
 """
 
-from repro.analysis.flow.summary import SUMMARY_VERSION, extract_summary
-from repro.analysis.flow.project import (
-    AccessSite,
-    LockId,
-    Project,
-    ThreadRoot,
-    build_project,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SUMMARY_VERSION",
-    "extract_summary",
-    "AccessSite",
-    "LockId",
-    "Project",
-    "ThreadRoot",
-    "build_project",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".summary": ("SUMMARY_VERSION", "extract_summary"),
+    ".project": (
+        "AccessSite",
+        "LockId",
+        "Project",
+        "ThreadRoot",
+        "build_project",
+    ),
+})

@@ -21,7 +21,7 @@ approximate in documented ways:
 import ast
 
 #: Bump when the summary shape changes — invalidates the lint cache.
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: Receiver method calls treated as *writes* to the receiver attribute
 #: (mutating a container through an attribute is a write to shared
@@ -591,15 +591,50 @@ def _imports(tree, module):
     return table
 
 
+def _lazy_exports(tree, module, imports):
+    """Name -> dotted target for a package's lazy export table.
+
+    A package ``__init__`` binds its public names with
+    :func:`repro._lazy.lazy_exports` rather than import statements, so
+    its table literal is read as import bindings: ``from <package>
+    import <name>`` then resolves through the package like any other
+    re-export hop.
+    """
+    table = {}
+    for stmt in tree.body:
+        call = stmt.value if isinstance(stmt, ast.Assign) else None
+        if not (isinstance(call, ast.Call) and len(call.args) == 2
+                and isinstance(call.args[1], ast.Dict)
+                and imports.get(dotted_path(call.func))
+                == "repro._lazy.lazy_exports"):
+            continue
+        for key, names in zip(call.args[1].keys, call.args[1].values):
+            if not (isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and isinstance(names, (ast.Tuple, ast.List))):
+                continue
+            # ".bus" is a submodule of this package; others are absolute.
+            source = key.value
+            if source.startswith("."):
+                source = module + source
+            for name in names.elts:
+                if isinstance(name, ast.Constant) and \
+                        isinstance(name.value, str):
+                    table[name.value] = source + "." + name.value
+    return table
+
+
 def extract_summary(source):
     """The whole-file summary dict for one parsed SourceFile."""
     tree = source.tree
     module_globals = _module_globals(tree)
+    imports = _imports(tree, source.module)
+    imports.update(_lazy_exports(tree, source.module, imports))
     summary = {
         "version": SUMMARY_VERSION,
         "module": source.module,
         "path": source.path,
-        "imports": _imports(tree, source.module),
+        "imports": imports,
         "module_globals": sorted(module_globals),
         "global_types": {},
         "classes": {},

@@ -27,33 +27,17 @@ that scores a grid analytically and confirms the surviving frontier
 with bit-identical simulation rows.
 """
 
-from repro.analytic.batch import score_grid
-from repro.analytic.bounds import (
-    CALIBRATION,
-    ERROR_BOUNDS,
-    ErrorBound,
-    bound_for,
-)
-from repro.analytic.model import (
-    AnalyticResult,
-    UnsupportedArbiterError,
-    check_config,
-    predict,
-    supported_arbiters,
-)
-from repro.analytic.validate import ValidationReport, validate_surrogate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticResult",
-    "CALIBRATION",
-    "ERROR_BOUNDS",
-    "ErrorBound",
-    "UnsupportedArbiterError",
-    "ValidationReport",
-    "bound_for",
-    "check_config",
-    "predict",
-    "score_grid",
-    "supported_arbiters",
-    "validate_surrogate",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".batch": ("score_grid",),
+    ".bounds": ("CALIBRATION", "ERROR_BOUNDS", "ErrorBound", "bound_for"),
+    ".model": (
+        "AnalyticResult",
+        "UnsupportedArbiterError",
+        "check_config",
+        "predict",
+        "supported_arbiters",
+    ),
+    ".validate": ("ValidationReport", "validate_surrogate"),
+})

@@ -7,29 +7,19 @@ extensions: compensation tickets and deficit-weighted round-robin (the
 deterministic proportional-share comparison point).
 """
 
-from repro.arbiters.base import Arbiter
-from repro.arbiters.lottery import (
-    CompensatedLotteryArbiter,
-    DynamicLotteryArbiter,
-    StaticLotteryArbiter,
-)
-from repro.arbiters.registry import available_arbiters, make_arbiter
-from repro.arbiters.round_robin import RoundRobinArbiter
-from repro.arbiters.static_priority import StaticPriorityArbiter
-from repro.arbiters.tdma import TdmaArbiter
-from repro.arbiters.token_ring import TokenRingArbiter
-from repro.arbiters.weighted_rr import WeightedRoundRobinArbiter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Arbiter",
-    "CompensatedLotteryArbiter",
-    "DynamicLotteryArbiter",
-    "StaticLotteryArbiter",
-    "available_arbiters",
-    "make_arbiter",
-    "RoundRobinArbiter",
-    "StaticPriorityArbiter",
-    "TdmaArbiter",
-    "TokenRingArbiter",
-    "WeightedRoundRobinArbiter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".base": ("Arbiter",),
+    ".lottery": (
+        "CompensatedLotteryArbiter",
+        "DynamicLotteryArbiter",
+        "StaticLotteryArbiter",
+    ),
+    ".registry": ("available_arbiters", "make_arbiter"),
+    ".round_robin": ("RoundRobinArbiter",),
+    ".static_priority": ("StaticPriorityArbiter",),
+    ".tdma": ("TdmaArbiter",),
+    ".token_ring": ("TokenRingArbiter",),
+    ".weighted_rr": ("WeightedRoundRobinArbiter",),
+})

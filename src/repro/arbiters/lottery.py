@@ -1,6 +1,7 @@
 """LOTTERYBUS arbiters: thin bus-protocol wrappers over the managers."""
 
 from repro.arbiters.base import Arbiter
+from repro.core.compensation import CompensatedLotteryManager
 from repro.core.lottery_manager import DynamicLotteryManager, StaticLotteryManager
 
 
@@ -98,8 +99,6 @@ class CompensatedLotteryArbiter(_LotteryArbiter):
     name = "lottery-compensated"
 
     def __init__(self, tickets, max_burst=16, **manager_kwargs):
-        from repro.core.compensation import CompensatedLotteryManager
-
         manager = CompensatedLotteryManager(tickets, max_burst,
                                             **manager_kwargs)
         super().__init__(manager)

@@ -9,24 +9,14 @@ arbiter therefore decides how cell-forwarding bandwidth is divided among
 the ports.
 """
 
-from repro.atm.cell import ATMCell, CELL_WORDS
-from repro.atm.port import OutputPort
-from repro.atm.queue import OutputQueue
-from repro.atm.scheduler import CellArrivalScheduler
-from repro.atm.shared_memory import SharedCellMemory
-from repro.atm.switch import OutputQueuedSwitch, SwitchReport
-from repro.atm.workload import BernoulliArrivals, OnOffArrivals, PortWorkload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ATMCell",
-    "CELL_WORDS",
-    "OutputPort",
-    "OutputQueue",
-    "CellArrivalScheduler",
-    "SharedCellMemory",
-    "OutputQueuedSwitch",
-    "SwitchReport",
-    "BernoulliArrivals",
-    "OnOffArrivals",
-    "PortWorkload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cell": ("ATMCell", "CELL_WORDS"),
+    ".port": ("OutputPort",),
+    ".queue": ("OutputQueue",),
+    ".scheduler": ("CellArrivalScheduler",),
+    ".shared_memory": ("SharedCellMemory",),
+    ".switch": ("OutputQueuedSwitch", "SwitchReport"),
+    ".workload": ("BernoulliArrivals", "OnOffArrivals", "PortWorkload"),
+})

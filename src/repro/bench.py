@@ -23,6 +23,7 @@ is gated only in full runs; ``--quick`` records it without gating.
 """
 
 import argparse
+import ast
 import functools
 import hashlib
 import json
@@ -30,6 +31,8 @@ import os
 import pickle
 import platform
 import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import threading
@@ -741,11 +744,109 @@ def analytic_leg(quick, repeats):
 # and the whole-program pass replayed from the cache).  Both must
 # produce byte-identical findings, and the warm run must clear the 5x
 # speedup target.  The leg also reports the size of src/repro, per
-# package, so net lines of code are tracked like any other figure.
+# package, so net lines of code are tracked like any other figure, and
+# what importing each entry point loads in a fresh interpreter: the
+# import is most of a short simulation's set-up time.
 
 _LINT_TARGETS = ("src", "tests")
 _LINT_WARM_SPEEDUP_TARGET = 5.0
 _SIZE_ROOT = os.path.join("src", "repro")
+
+#: Entry points whose fresh-interpreter import the lint leg records,
+#: by name; ``simulation`` is the scalar simulator and ``Point``.
+IMPORT_ENTRY_POINTS = {
+    "simulation": "repro.experiments.system",
+    "cli": "repro.cli",
+    "service": "repro.service",
+    "analytic": "repro.analytic",
+}
+
+#: What a simulation never runs.  ``import repro.experiments.system``
+#: (the scalar simulator and ``Point``) loads none of these modules and
+#: none of their submodules: gate ``simulation_imports_lean``.
+SIMULATION_PATH_EXCLUDES = (
+    "multiprocessing", "socket", "subprocess", "hashlib", "numpy",
+    "repro.experiments.supervisor", "repro.experiments.runner",
+    "repro.experiments.cache", "repro.service", "repro.analytic",
+    "repro.vector", "repro.atm", "repro.faults", "repro.analysis",
+)
+
+# Run as ``python -c _IMPORT_PROBE module...``: imports each module as
+# ``from <module> import *`` (so a package counts every name it
+# exports, lazy or not) and prints the wall time and {module: file} for
+# every module that loaded.
+_IMPORT_PROBE = """
+import sys, time
+before = set(sys.modules)
+start = time.perf_counter()
+for name in sys.argv[1:]:
+    __import__(name, fromlist=["*"])
+seconds = time.perf_counter() - start
+print(repr((seconds, {
+    name: getattr(sys.modules[name], "__file__", None)
+    for name in sorted(set(sys.modules) - before)
+})))
+"""
+
+
+def import_graph(*modules):
+    """Import ``modules`` in a fresh interpreter, each as ``from
+    <module> import *``; returns ``(seconds, {module: file or None})``
+    for every module the imports loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE] + list(modules),
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return ast.literal_eval(result.stdout)
+
+
+def off_simulation_path(loaded):
+    """The modules among ``loaded`` that ``SIMULATION_PATH_EXCLUDES``
+    rules out of the simulation path."""
+    return sorted(
+        name for name in loaded
+        if any(name == excluded or name.startswith(excluded + ".")
+               for excluded in SIMULATION_PATH_EXCLUDES)
+    )
+
+
+def _line_count(path):
+    with open(path, "rb") as handle:
+        return handle.read().count(b"\n")
+
+
+def _import_size(runs):
+    """Per entry point: the ``repro`` modules and source lines its
+    import loads, the other modules, and the median import seconds over
+    ``runs`` fresh interpreters (entry points interleaved)."""
+    walls = {name: [] for name in IMPORT_ENTRY_POINTS}
+    graphs = {}
+    for _ in range(runs):
+        for name, module in IMPORT_ENTRY_POINTS.items():
+            wall, graphs[name] = import_graph(module)
+            walls[name].append(wall)
+    entries = {}
+    for entry, loaded in graphs.items():
+        ours = [name for name in loaded if name.split(".")[0] == "repro"]
+        entries[entry] = {
+            "module": IMPORT_ENTRY_POINTS[entry],
+            "repro_modules": len(ours),
+            "repro_lines": sum(_line_count(loaded[name]) for name in ours
+                               if loaded[name]),
+            "other_modules": len(loaded) - len(ours),
+            "import_s": round(statistics.median(walls[entry]), 4),
+        }
+    entries["simulation"]["off_path"] = off_simulation_path(
+        graphs["simulation"])
+    return {
+        "writes_bytecode": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "entry_points": entries,
+    }
 
 
 def _source_size(files):
@@ -755,8 +856,7 @@ def _source_size(files):
     for path in files:
         parts = os.path.relpath(path, _SIZE_ROOT).split(os.sep)
         package = "repro" if len(parts) == 1 else "repro." + parts[0]
-        with open(path, "rb") as handle:
-            lines = handle.read().count(b"\n")
+        lines = _line_count(path)
         entry = packages.setdefault(package, {"modules": 0, "lines": 0})
         entry["modules"] += 1
         entry["lines"] += lines
@@ -820,7 +920,13 @@ def lint_leg(quick, repeats):
         shutil.rmtree(work_dir, ignore_errors=True)
 
     warm_speedup = cold_wall / warm_wall
-    gates = {"warm_equals_cold": warm == cold}
+    size = _source_size(iter_python_files([_SIZE_ROOT]))
+    size["imports"] = _import_size(repeats)
+    simulation = size["imports"]["entry_points"]["simulation"]
+    gates = {
+        "warm_equals_cold": warm == cold,
+        "simulation_imports_lean": not simulation["off_path"],
+    }
     if not quick:
         gates["warm_speedup_meets_target"] = (
             warm_speedup >= _LINT_WARM_SPEEDUP_TARGET
@@ -838,7 +944,7 @@ def lint_leg(quick, repeats):
         ),
         "warm_speedup": round(warm_speedup, 1),
         "warm_speedup_target": _LINT_WARM_SPEEDUP_TARGET,
-        "size": _source_size(iter_python_files([_SIZE_ROOT])),
+        "size": size,
     }, gates
 
 

@@ -1,29 +1,15 @@
 """Shared-bus substrate: transactions, interfaces, buses, bridges."""
 
-from repro.bus.address_map import AddressedMaster, AddressError, AddressMap
-from repro.bus.bridge import Bridge
-from repro.bus.bus import SharedBus
-from repro.bus.checker import BusChecker, CheckerViolation
-from repro.bus.master import MasterInterface
-from repro.bus.network import BusNetwork, NetworkError
-from repro.bus.slave import Slave
-from repro.bus.topology import BusSystem, build_single_bus_system
-from repro.bus.transaction import Grant, Request
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressedMaster",
-    "AddressError",
-    "AddressMap",
-    "Bridge",
-    "SharedBus",
-    "BusChecker",
-    "CheckerViolation",
-    "MasterInterface",
-    "BusNetwork",
-    "NetworkError",
-    "Slave",
-    "BusSystem",
-    "build_single_bus_system",
-    "Grant",
-    "Request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".address_map": ("AddressedMaster", "AddressError", "AddressMap"),
+    ".bridge": ("Bridge",),
+    ".bus": ("SharedBus",),
+    ".checker": ("BusChecker", "CheckerViolation"),
+    ".master": ("MasterInterface",),
+    ".network": ("BusNetwork", "NetworkError"),
+    ".slave": ("Slave",),
+    ".topology": ("BusSystem", "build_single_bus_system"),
+    ".transaction": ("Grant", "Request"),
+})

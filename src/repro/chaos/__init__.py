@@ -16,7 +16,9 @@ CampaignReport` must be **bit-identical** to a fault-free serial run.
 ``python -m repro.chaos`` drives exactly that comparison.
 """
 
-from repro.chaos.injector import ChaosInjector, install_worker_chaos
-from repro.chaos.plan import ChaosPlan
+from repro._lazy import lazy_exports
 
-__all__ = ["ChaosInjector", "ChaosPlan", "install_worker_chaos"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".injector": ("ChaosInjector", "install_worker_chaos"),
+    ".plan": ("ChaosPlan",),
+})

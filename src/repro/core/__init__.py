@@ -22,31 +22,21 @@ This package implements Section 4 of the paper:
   estimates (Section 5.2).
 """
 
-from repro.core.lfsr import LFSR, MAXIMAL_TAPS
-from repro.core.lottery_manager import (
-    DynamicLotteryManager,
-    LotteryOutcome,
-    StaticLotteryManager,
-)
-from repro.core.scaling import scale_to_power_of_two
-from repro.core.starvation import (
-    access_probability,
-    drawings_for_confidence,
-    expected_bandwidth_shares,
-    expected_drawings_to_access,
-)
-from repro.core.tickets import TicketAssignment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LFSR",
-    "MAXIMAL_TAPS",
-    "DynamicLotteryManager",
-    "LotteryOutcome",
-    "StaticLotteryManager",
-    "scale_to_power_of_two",
-    "access_probability",
-    "drawings_for_confidence",
-    "expected_bandwidth_shares",
-    "expected_drawings_to_access",
-    "TicketAssignment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".lfsr": ("LFSR", "MAXIMAL_TAPS"),
+    ".lottery_manager": (
+        "DynamicLotteryManager",
+        "LotteryOutcome",
+        "StaticLotteryManager",
+    ),
+    ".scaling": ("scale_to_power_of_two",),
+    ".starvation": (
+        "access_probability",
+        "drawings_for_confidence",
+        "expected_bandwidth_shares",
+        "expected_drawings_to_access",
+    ),
+    ".tickets": ("TicketAssignment",),
+})

@@ -26,6 +26,7 @@ from repro.bus.master import MasterInterface
 from repro.bus.slave import Slave
 from repro.bus.topology import BusSystem
 from repro.metrics.report import format_table
+from repro.metrics.waveform import BusProbe, render_waveform
 from repro.traffic.patterns import PatternGenerator
 
 # The Figure 5 system: three masters, a wheel of three equal contiguous
@@ -138,8 +139,6 @@ def render_figure5_traces(phase=15, cycles=72):
     per-slot bus ownership) of the pure-TDMA bus — phase 0 reproduces
     Trace 1 (aligned), other phases Trace 2 (shifted).
     """
-    from repro.metrics.waveform import BusProbe, render_waveform
-
     masters = [MasterInterface("f5t.m{}".format(i), i) for i in range(NUM_MASTERS)]
     bus = SharedBus(
         "f5t.bus",

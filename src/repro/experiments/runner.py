@@ -5,6 +5,7 @@ and figure of the paper in one pass; individual experiments are exposed
 through the same registry for the CLI and the benchmarks.
 """
 
+import importlib
 import warnings
 
 from repro.experiments.fault_sweep import run_fault_sweep
@@ -20,6 +21,13 @@ from repro.experiments.hardware import (
 from repro.experiments.starvation import run_starvation
 from repro.experiments.sweep import run_sweep
 from repro.experiments.table1 import run_table1
+
+# Table 1 imports the ATM switch only when it builds one, so the bus
+# simulator loads without it.  Campaign and service workers fork from a
+# process that imported this registry, so load the switch here, once,
+# rather than in every worker that runs Table 1.
+for _module in ("repro.atm.switch", "repro.atm.workload"):
+    importlib.import_module(_module)
 
 # The standard sweep: every batch-engine-supported arbiter crossed with
 # all nine traffic classes at the Table 1 weights.  ``backend=`` picks

@@ -14,9 +14,6 @@ time-alignment pathology of Section 3).
 """
 
 from repro.arbiters.registry import make_arbiter
-from repro.atm.cell import CELL_WORDS
-from repro.atm.switch import OutputQueuedSwitch
-from repro.atm.workload import BernoulliArrivals, PeriodicBurstArrivals, PortWorkload
 from repro.metrics.report import format_table
 
 TABLE1_WEIGHTS = (12, 2, 6, 1)
@@ -37,6 +34,12 @@ def table1_workload(
         defaults to the TDMA wheel length (sum of weights) so the burst
         phase locks against the wheel.
     """
+    from repro.atm.workload import (
+        BernoulliArrivals,
+        PeriodicBurstArrivals,
+        PortWorkload,
+    )
+
     if burst_interval is None:
         burst_interval = sum(TABLE1_WEIGHTS)
     return PortWorkload(
@@ -92,6 +95,8 @@ def build_table1_switch(
     seed=5,
 ):
     """The Table 1 switch for one architecture, ready to run."""
+    from repro.atm.switch import OutputQueuedSwitch
+
     arbiter = make_arbiter(
         arbiter_name, len(weights), list(weights), **(arbiter_kwargs or {})
     )
@@ -106,6 +111,8 @@ def build_table1_switch(
 
 def table1_row(label, switch):
     """The Table 1 result row of a finished switch run."""
+    from repro.atm.cell import CELL_WORDS
+
     report = switch.report()
     port1_latency = report.switch_latencies[0] / CELL_WORDS
     return (label, report.bandwidth_fractions, port1_latency)

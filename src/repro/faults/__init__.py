@@ -20,12 +20,9 @@ Everything is seed-driven: the same root seed replays the exact same
 fault schedule, so a failing run is always reproducible.
 """
 
-from repro.faults.injector import FaultInjector, StuckRandomSource
-from repro.faults.plan import FaultPlan, RetryPolicy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "RetryPolicy",
-    "StuckRandomSource",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".injector": ("FaultInjector", "StuckRandomSource"),
+    ".plan": ("FaultPlan", "RetryPolicy"),
+})

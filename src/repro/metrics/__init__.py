@@ -1,24 +1,12 @@
 """Instrumentation: bandwidth fractions, latencies, reports."""
 
-from repro.metrics.bandwidth import bandwidth_fractions, utilization
-from repro.metrics.collector import FaultStats, MasterStats, MetricsCollector
-from repro.metrics.latency import LatencyStats
-from repro.metrics.report import format_bar_chart, format_table
-from repro.metrics.stats import Replication, confidence_interval, replicate
-from repro.metrics.waveform import BusProbe, render_waveform
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bandwidth_fractions",
-    "utilization",
-    "FaultStats",
-    "MasterStats",
-    "MetricsCollector",
-    "LatencyStats",
-    "format_bar_chart",
-    "format_table",
-    "Replication",
-    "confidence_interval",
-    "replicate",
-    "BusProbe",
-    "render_waveform",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".bandwidth": ("bandwidth_fractions", "utilization"),
+    ".collector": ("FaultStats", "MasterStats", "MetricsCollector"),
+    ".latency": ("LatencyStats",),
+    ".report": ("format_bar_chart", "format_table"),
+    ".stats": ("Replication", "confidence_interval", "replicate"),
+    ".waveform": ("BusProbe", "render_waveform"),
+})

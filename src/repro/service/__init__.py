@@ -26,26 +26,18 @@ warm content-addressed cache:
   harness, the benchmark and the tests.
 """
 
-from repro.experiments import JobSpec
-from repro.service.core import ServiceCore
-from repro.service.engine import ServiceEngine
-from repro.service.models import (
-    JobState,
-    ServiceError,
-    validate_submission,
-    validate_sweep,
-)
-from repro.service.queue import JobQueue
-from repro.service.wal import JobWAL
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobSpec",
-    "JobState",
-    "JobQueue",
-    "JobWAL",
-    "ServiceCore",
-    "ServiceEngine",
-    "ServiceError",
-    "validate_submission",
-    "validate_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.experiments.supervisor": ("JobSpec",),
+    ".core": ("ServiceCore",),
+    ".engine": ("ServiceEngine",),
+    ".models": (
+        "JobState",
+        "ServiceError",
+        "validate_submission",
+        "validate_sweep",
+    ),
+    ".queue": ("JobQueue",),
+    ".wal": ("JobWAL",),
+})

@@ -7,24 +7,16 @@ registration order.  All stochastic behaviour draws from seeded
 reproducible from its seed.
 """
 
-from repro.sim.component import Component
-from repro.sim.kernel import KernelDivergenceError, SimulationError, Simulator
-from repro.sim.rng import RandomStream
-from repro.sim.snapshot import (
-    CheckpointError,
-    Snapshottable,
-    read_checkpoint,
-    write_checkpoint,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Component",
-    "KernelDivergenceError",
-    "SimulationError",
-    "Simulator",
-    "RandomStream",
-    "CheckpointError",
-    "Snapshottable",
-    "read_checkpoint",
-    "write_checkpoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".component": ("Component",),
+    ".kernel": ("KernelDivergenceError", "SimulationError", "Simulator"),
+    ".rng": ("RandomStream",),
+    ".snapshot": (
+        "CheckpointError",
+        "Snapshottable",
+        "read_checkpoint",
+        "write_checkpoint",
+    ),
+})

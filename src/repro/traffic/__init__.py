@@ -1,29 +1,15 @@
 """Parameterized on-chip communication traffic generation."""
 
-from repro.traffic.classes import TRAFFIC_CLASSES, TrafficClass, get_traffic_class
-from repro.traffic.generator import (
-    OnOffGenerator,
-    PeriodicGenerator,
-    PoissonGenerator,
-    SaturatingGenerator,
-)
-from repro.traffic.message import (
-    FixedWords,
-    GeometricWords,
-    UniformWords,
-)
-from repro.traffic.patterns import PatternGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TRAFFIC_CLASSES",
-    "TrafficClass",
-    "get_traffic_class",
-    "OnOffGenerator",
-    "PeriodicGenerator",
-    "PoissonGenerator",
-    "SaturatingGenerator",
-    "FixedWords",
-    "GeometricWords",
-    "UniformWords",
-    "PatternGenerator",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".classes": ("TRAFFIC_CLASSES", "TrafficClass", "get_traffic_class"),
+    ".generator": (
+        "OnOffGenerator",
+        "PeriodicGenerator",
+        "PoissonGenerator",
+        "SaturatingGenerator",
+    ),
+    ".message": ("FixedWords", "GeometricWords", "UniformWords"),
+    ".patterns": ("PatternGenerator",),
+})

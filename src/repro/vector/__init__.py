@@ -9,28 +9,18 @@ numpy is imported lazily, by the code that builds arrays: importing
 this package does not load numpy.
 """
 
-from repro.vector.backend import BatchRun, run_testbed_batch
-from repro.vector.engine import VectorEngine
-from repro.vector.lanes import (
-    LanePlan,
-    UnsupportedConfigError,
-    VectorDivergenceError,
-    arbiter_check_state,
-    plan_lane,
-    scalar_fingerprint,
-)
-from repro.vector.lfsr import VectorLFSR
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchRun",
-    "LanePlan",
-    "UnsupportedConfigError",
-    "VectorDivergenceError",
-    "VectorEngine",
-    "VectorLFSR",
-    "arbiter_check_state",
-    "plan_lane",
-    "run_testbed_batch",
-    "scalar_fingerprint",
-]
-
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".backend": ("BatchRun", "run_testbed_batch"),
+    ".engine": ("VectorEngine",),
+    ".lanes": (
+        "LanePlan",
+        "UnsupportedConfigError",
+        "VectorDivergenceError",
+        "arbiter_check_state",
+        "plan_lane",
+        "scalar_fingerprint",
+    ),
+    ".lfsr": ("VectorLFSR",),
+})

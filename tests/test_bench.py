@@ -154,6 +154,7 @@ def test_lint_leg_missing_the_warm_target_fails_only_that_gate(
     assert "equals_cold" not in err
     assert json.loads(output.read_text())["gates"] == {
         "warm_equals_cold": True,
+        "simulation_imports_lean": True,
         "warm_speedup_meets_target": False,
     }
 
@@ -178,3 +179,50 @@ def test_lint_leg_reports_source_size_per_package(monkeypatch):
         for name in files
     )
     assert size["total"]["modules"] == modules
+
+
+def test_lint_leg_records_what_each_entry_point_imports(monkeypatch):
+    monkeypatch.setattr("repro.analysis.core.lint_paths",
+                        lambda paths, rules=None, cache=None: [])
+    imports = bench.run_leg("lint", quick=True, repeats=1)["size"]["imports"]
+    entries = imports["entry_points"]
+    assert list(entries) == ["simulation", "cli", "service", "analytic"]
+    for name, entry in entries.items():
+        assert entry["module"] == bench.IMPORT_ENTRY_POINTS[name]
+        assert entry["repro_modules"] > 0 and entry["repro_lines"] > 0
+        assert entry["import_s"] > 0
+    simulation = entries["simulation"]
+    assert simulation["module"] == "repro.experiments.system"
+    assert simulation["off_path"] == []
+    # The simulator is a strict subset of the CLI's stack.
+    assert simulation["repro_lines"] < entries["cli"]["repro_lines"]
+
+
+def test_simulation_imports_lean_gate_fails_on_an_excluded_module(
+        monkeypatch):
+    monkeypatch.setattr("repro.analysis.core.lint_paths",
+                        lambda paths, rules=None, cache=None: [])
+    real_graph = bench.import_graph
+
+    def graph_with_a_pool(*modules):
+        seconds, loaded = real_graph(*modules)
+        loaded = dict(loaded, **{"multiprocessing.pool": None,
+                                 "repro.experiments.cache": None})
+        return seconds, loaded
+
+    monkeypatch.setattr(bench, "import_graph", graph_with_a_pool)
+    report = bench.run_leg("lint", quick=True, repeats=1)
+    assert report["gates"]["simulation_imports_lean"] is False
+    assert not report["ok"]
+    simulation = report["size"]["imports"]["entry_points"]["simulation"]
+    assert simulation["off_path"] == [
+        "multiprocessing.pool", "repro.experiments.cache"]
+
+
+def test_off_simulation_path_matches_modules_and_their_submodules():
+    assert bench.off_simulation_path([
+        "repro.sim.kernel", "numpy", "numpy.core", "socketserver",
+        "repro.atm", "repro.atmosphere", "repro.experiments.system",
+        "repro.experiments.supervisor",
+    ]) == ["numpy", "numpy.core", "repro.atm",
+           "repro.experiments.supervisor"]

@@ -80,6 +80,45 @@ def test_summary_records_free_variable_reads_for_closures():
     assert "seed" in summary["funcs"]["outer.inner"]["name_reads"]
 
 
+def test_lazy_export_tables_read_as_import_bindings():
+    summary = summarize(
+        "from repro._lazy import lazy_exports\n"
+        "__all__, __getattr__, __dir__ = lazy_exports(globals(), {\n"
+        "    '.engine': ('Engine', 'start'),\n"
+        "    'repro.other.models': ['Spec', 'Thing'],\n"
+        "})\n",
+        module="repro.flowtest",
+    )
+    imports = summary["imports"]
+    assert imports["Engine"] == "repro.flowtest.engine.Engine"
+    assert imports["start"] == "repro.flowtest.engine.start"
+    assert imports["Spec"] == "repro.other.models.Spec"
+    assert imports["Thing"] == "repro.other.models.Thing"
+    # A call that is not the export helper binds nothing.
+    other = summarize(
+        "def lazy_exports(namespace, table):\n"
+        "    return table\n"
+        "names = lazy_exports(globals(), {'.engine': ('Engine',)})\n"
+    )
+    assert "Engine" not in other["imports"]
+
+
+def test_lazy_package_exports_resolve_one_re_export_hop():
+    # service/queue.py imports JobSpec from repro.experiments, whose
+    # __init__ binds it through its lazy export table, not an import.
+    root = os.path.join(os.path.dirname(FIXTURES), "..", "..", "src", "repro")
+    summaries = []
+    for relative in ("service/queue.py", "experiments/__init__.py",
+                     "experiments/supervisor.py"):
+        path = os.path.normpath(os.path.join(root, relative))
+        with open(path) as handle:
+            summaries.append(extract_summary(SourceFile(path, handle.read())))
+    project = build_project(summaries)
+    assert project.resolve_name("repro.service.queue", "JobSpec") == \
+        "repro.experiments.supervisor.JobSpec"
+    assert "repro.experiments.supervisor.JobSpec" in project.classes
+
+
 # ---------------------------------------------------------------------------
 # Call graph and thread roots.
 # ---------------------------------------------------------------------------

@@ -16,24 +16,61 @@ def test_all_names_resolve():
         assert hasattr(repro, name), name
 
 
-@pytest.mark.parametrize(
-    "module",
-    [
-        "repro.sim",
-        "repro.bus",
-        "repro.arbiters",
-        "repro.core",
-        "repro.traffic",
-        "repro.metrics",
-        "repro.faults",
-        "repro.atm",
-        "repro.experiments",
-    ],
-)
+#: Every package that exports names, each through its lazy table.
+SUBPACKAGES = [
+    "repro.sim",
+    "repro.bus",
+    "repro.arbiters",
+    "repro.core",
+    "repro.traffic",
+    "repro.metrics",
+    "repro.faults",
+    "repro.atm",
+    "repro.experiments",
+    "repro.service",
+    "repro.analytic",
+    "repro.vector",
+    "repro.chaos",
+    "repro.analysis",
+    "repro.analysis.flow",
+]
+
+
+@pytest.mark.parametrize("module", SUBPACKAGES)
 def test_subpackage_all_names_resolve(module):
     package = importlib.import_module(module)
     for name in getattr(package, "__all__", []):
         assert hasattr(package, name), "{}.{}".format(module, name)
+
+
+@pytest.mark.parametrize("module", ["repro"] + SUBPACKAGES)
+def test_dir_lists_every_exported_name(module):
+    package = importlib.import_module(module)
+    assert package.__all__
+    assert set(package.__all__) <= set(dir(package))
+
+
+@pytest.mark.parametrize("module", ["repro"] + SUBPACKAGES)
+def test_star_import_binds_every_exported_name(module):
+    package = importlib.import_module(module)
+    namespace = {}
+    exec("from {} import *".format(module), namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(package.__all__)
+    for name in package.__all__:
+        assert namespace[name] is getattr(package, name), name
+
+
+def test_unknown_names_raise_attribute_error():
+    import repro.experiments
+
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        repro.experiments.nonexistent
+    assert not hasattr(repro, "nonexistent")
+    # Submodules are still imported by name, not exported.
+    from repro.experiments import system
+
+    assert system.Point is repro.experiments.Point
 
 
 def test_docstring_coverage_of_public_modules():
